@@ -57,9 +57,6 @@ const (
 	defaultRetries = 3
 	// defaultPollInterval is the cadence of the health/utilization exchange.
 	defaultPollInterval = 2 * time.Second
-	// defaultMaxStatements caps the coordinator's prepared-statement
-	// registry, mirroring the serve-side cap.
-	defaultMaxStatements = 1024
 	// defaultBreakerThreshold opens a replica's breaker after this many
 	// consecutive probe/query failures.
 	defaultBreakerThreshold = 3
@@ -94,9 +91,6 @@ type Config struct {
 	// negative disables the background poller — Poll can still be called
 	// explicitly).
 	PollInterval time.Duration
-	// MaxStatements caps the coordinator-side prepared-statement registry
-	// (0 = 1024).
-	MaxStatements int
 	// RetryWholeQuery restarts a query once from the coordinator when a
 	// replica fails after rows were already merged — provided nothing was
 	// delivered to the consumer yet. Off, such failures keep
@@ -116,12 +110,10 @@ type Config struct {
 type Coordinator struct {
 	shards     []*shard
 	token      string
-	maxStmt    int
 	retryWhole bool
-
-	mu     sync.Mutex
-	stmts  map[string]*coordStmt
-	nextID atomic.Int64
+	// stmts is the coordinator-side prepared-statement registry: capped
+	// and idle-expired exactly like a serve node's (default TTL).
+	stmts *server.Registry[*coordStmt]
 
 	// Lifetime counters, surfaced on Stats and the /stats endpoint.
 	queries           atomic.Int64
@@ -196,12 +188,8 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		token:      cfg.Token,
-		maxStmt:    cfg.MaxStatements,
 		retryWhole: cfg.RetryWholeQuery,
-		stmts:      make(map[string]*coordStmt),
-	}
-	if c.maxStmt <= 0 {
-		c.maxStmt = defaultMaxStatements
+		stmts:      server.NewRegistry[*coordStmt]("c", 0, 0, nil),
 	}
 	for si, group := range cfg.Nodes {
 		sh := &shard{index: si}
@@ -486,8 +474,11 @@ type Stats struct {
 	// query restarts under RetryWholeQuery.
 	Failovers         int64 `json:"failovers"`
 	WholeQueryRetries int64 `json:"wholeQueryRetries"`
-	// Statements is the number of open coordinator-side prepared statements.
-	Statements int `json:"statements"`
+	// Statements is the number of open coordinator-side prepared
+	// statements; StatementsExpired counts the ones the idle-TTL sweep
+	// reclaimed over the coordinator's lifetime.
+	Statements        int   `json:"statements"`
+	StatementsExpired int64 `json:"statementsExpired"`
 }
 
 // Stats snapshots the cluster from the last poll round (it does not touch
@@ -515,9 +506,7 @@ func (c *Coordinator) Stats() Stats {
 	st.Repreparations = c.repreparations.Load()
 	st.Failovers = c.failovers.Load()
 	st.WholeQueryRetries = c.wholeQueryRetries.Load()
-	c.mu.Lock()
-	st.Statements = len(c.stmts)
-	c.mu.Unlock()
+	st.Statements, st.StatementsExpired = c.stmts.Counts()
 	return st
 }
 

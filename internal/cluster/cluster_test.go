@@ -268,9 +268,11 @@ func TestExecRepreparesExpiredNodeStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forget node 0's half behind the coordinator's back.
-	tc.coord.mu.Lock()
-	nodeID, ok := tc.coord.stmts[pr.ID].id(tc.coord.shards[0].replicas[0])
-	tc.coord.mu.Unlock()
+	stmt, err := tc.coord.stmts.Get(pr.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeID, ok := stmt.id(tc.coord.shards[0].replicas[0])
 	if !ok {
 		t.Fatal("shard 0's replica holds no statement id after Prepare")
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // NodeError names the worker behind a fan-out failure. The message keeps
-// the historical "cluster: node <name>: ..." shape, which the HTTP front
-// end maps to 502 and operators grep for.
+// the historical "cluster: node <name>: ..." shape, which operators grep
+// for.
 type NodeError struct {
 	Node string
 	Err  error
@@ -18,6 +18,9 @@ type NodeError struct {
 
 func (e *NodeError) Error() string { return fmt.Sprintf("cluster: node %s: %v", e.Node, e.Err) }
 func (e *NodeError) Unwrap() error { return e.Err }
+
+// Is matches server.ErrUpstream, which the front end answers with 502.
+func (e *NodeError) Is(target error) bool { return target == server.ErrUpstream }
 
 // ShardError reports that a shard's subquery failed on every replica tried;
 // Err is the last replica's NodeError.
@@ -31,6 +34,9 @@ func (e *ShardError) Error() string {
 	return fmt.Sprintf("cluster: shard %d failed on all %d replicas tried: %v", e.Shard, e.Replicas, e.Err)
 }
 func (e *ShardError) Unwrap() error { return e.Err }
+
+// Is matches server.ErrUpstream, which the front end answers with 502.
+func (e *ShardError) Is(target error) bool { return target == server.ErrUpstream }
 
 // replicaFault classifies an error as a fault of the replica that served
 // it — the signal that failing over to a sibling could succeed. Connection

@@ -176,9 +176,10 @@ func TestExecFailoverRepreparesOnSibling(t *testing.T) {
 	}
 	// Expire the sibling's half behind the coordinator's back, so the
 	// failover must re-prepare there.
-	coord.mu.Lock()
-	stmt := coord.stmts[pr.ID]
-	coord.mu.Unlock()
+	stmt, err := coord.stmts.Get(pr.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	idB, ok := stmt.id(repB)
 	if !ok {
 		t.Fatal("sibling holds no statement id after Prepare")
@@ -391,5 +392,45 @@ func TestPostMergeFailureWithoutRetryIsVisible(t *testing.T) {
 	}
 	if n := coord.wholeQueryRetries.Load(); n != 0 {
 		t.Errorf("wholeQueryRetries = %d, want 0 (RetryWholeQuery off)", n)
+	}
+}
+
+// TestPreMergeFaultOnOnlyReplicaKeepsCause: a shard's only replica dying
+// after its header but before any of its rows merged has no sibling to fail
+// over to. The shard error must still count that replica as tried and carry
+// its NodeError as the cause, in the same shape as an open-phase failure.
+func TestPreMergeFaultOnOnlyReplicaKeepsCause(t *testing.T) {
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", ndjsonWire)
+		enc := server.NewStreamEncoder(w, ndjsonWire, []string{"INT"})
+		enc.Header(&server.Header{Columns: []string{"unique1"}, Types: []string{"INT"}, Threads: 1})
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		panic(http.ErrAbortHandler)
+	}))
+	t.Cleanup(dead.Close)
+	t.Cleanup(func() { dead.Client().CloseIdleConnections() })
+	coord := newFailoverCoord(t, Config{Nodes: []string{dead.URL}, Wire: "ndjson"})
+	rows, err := coord.Query(context.Background(), "SELECT unique1 FROM wisc", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	rows.Close()
+	var se *ShardError
+	if !errors.As(rows.Err(), &se) {
+		t.Fatalf("error %v, want a ShardError", rows.Err())
+	}
+	if se.Replicas != 1 {
+		t.Errorf("replicas tried = %d, want 1", se.Replicas)
+	}
+	var ne *NodeError
+	if !errors.As(se.Err, &ne) || ne.Node != dead.URL {
+		t.Errorf("shard error cause %v, want the dead replica's NodeError", se.Err)
+	}
+	if n := coord.failures.Load(); n != 1 {
+		t.Errorf("failures = %d, want 1", n)
 	}
 }

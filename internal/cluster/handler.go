@@ -1,274 +1,65 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"dbs3/internal/server"
 )
 
-// chunkRows batches re-streamed rows per wire message on the coordinator's
-// own responses, matching the serve front end's chunking.
-const chunkRows = 64
-
-// Handler returns the coordinator's HTTP front end: the same wire protocol
-// a single serve node speaks — /query, /prepare, /stmt/{id}/exec,
-// /stmt/{id}, /stats, /healthz, NDJSON or binary columnar streams,
-// bearer-token auth — so any client (server.Client included) points at a
-// coordinator exactly as it would at one node, and gets scatter-gather
+// Handler returns the coordinator's HTTP front end: the serve nodes' own
+// protocol handler over the coordinator, so any client (server.Client
+// included) points at a coordinator exactly as it would at one node —
+// same routes, auth, encodings and statuses — and gets scatter-gather
 // transparently.
 func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", c.handleQuery)
-	mux.HandleFunc("POST /prepare", c.handlePrepare)
-	mux.HandleFunc("GET /stmt/{id}", c.handleStmtInfo)
-	mux.HandleFunc("POST /stmt/{id}/exec", c.handleExec)
-	mux.HandleFunc("DELETE /stmt/{id}", c.handleStmtClose)
-	mux.HandleFunc("GET /stats", c.handleStats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !server.Authorized(r, c.token) {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="dbs3"`)
-			http.Error(w, "cluster: missing or wrong bearer token", http.StatusUnauthorized)
-			return
-		}
-		mux.ServeHTTP(w, r)
-	})
+	return server.NewHandler(backend{c}, c.token)
 }
 
-// decodeBody parses a JSON request body with UseNumber so integer arguments
-// survive undamaged, mirroring the serve front end.
-func decodeBody(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("cluster: bad request body: %w", err)
-	}
-	return nil
-}
+// backend adapts the Coordinator to server.Backend.
+type backend struct{ c *Coordinator }
 
-// decodeArgs converts JSON placeholder arguments to engine values (int64 /
-// string) — same contract as the serve front end.
-func decodeArgs(args []any) ([]any, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]any, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case json.Number:
-			n, err := v.Int64()
-			if err != nil {
-				return nil, fmt.Errorf("cluster: argument %d: %q is not a 64-bit integer", i+1, v.String())
-			}
-			out[i] = n
-		case string:
-			out[i] = v
-		default:
-			return nil, fmt.Errorf("cluster: argument %d has unsupported type %T (want integer or string)", i+1, a)
-		}
-	}
-	return out, nil
-}
-
-// requestOptions folds the per-connection priority header into the request
-// options, so a priority set by header reaches the workers' admission
-// queues.
-func requestOptions(r *http.Request, wire *server.Options) *server.Options {
-	h := r.Header.Get("X-DBS3-Priority")
-	if h == "" {
-		return wire
-	}
-	var o server.Options
-	if wire != nil {
-		o = *wire
-	}
-	if o.Priority == "" {
-		o.Priority = h
-	}
-	return &o
-}
-
-// errorStatus maps a scatter error to an HTTP status: a worker's own HTTP
-// rejection keeps its code, a worker (or whole replica set) that could not
-// be reached is a bad gateway, and anything else (parse errors,
-// argument-count mismatches, unknown statement ids) is the client's
-// request.
-func errorStatus(err error) int {
-	var se *server.StatusError
-	if errors.As(err, &se) {
-		return se.Code
-	}
-	var ne *NodeError
-	var she *ShardError
-	if errors.As(err, &she) || errors.As(err, &ne) {
-		return http.StatusBadGateway
-	}
-	if strings.Contains(err.Error(), "no prepared statement") {
-		return http.StatusNotFound
-	}
-	return http.StatusBadRequest
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		http.Error(w, "cluster: empty sql", http.StatusBadRequest)
-		return
-	}
-	args, err := decodeArgs(req.Args)
+func (b backend) Query(ctx context.Context, sql string, args []any, opt *server.Options) (server.Result, error) {
+	rows, err := b.c.Query(ctx, sql, args, opt)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
-	contentType, err := server.NegotiateWire(r, req.Options)
+	return result{rows}, nil
+}
+
+func (b backend) Prepare(ctx context.Context, sql string, opt *server.Options) (*server.PrepareResponse, error) {
+	return b.c.Prepare(ctx, sql, opt)
+}
+
+func (b backend) Exec(ctx context.Context, id string, args []any, opt *server.Options) (server.Result, error) {
+	rows, err := b.c.Exec(ctx, id, args, opt)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, err
 	}
-	rows, err := c.Query(r.Context(), req.SQL, args, requestOptions(r, req.Options))
-	if err != nil {
-		http.Error(w, err.Error(), errorStatus(err))
-		return
-	}
-	c.restream(w, rows, contentType)
+	return result{rows}, nil
 }
 
-func (c *Coordinator) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+func (b backend) Stmt(id string) (*server.PrepareResponse, error) {
+	if pr, ok := b.c.Stmt(id); ok {
+		return pr, nil
 	}
-	if strings.TrimSpace(req.SQL) == "" {
-		http.Error(w, "cluster: empty sql", http.StatusBadRequest)
-		return
-	}
-	pr, err := c.Prepare(r.Context(), req.SQL, requestOptions(r, req.Options))
-	if err != nil {
-		http.Error(w, err.Error(), errorStatus(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, pr)
+	return nil, fmt.Errorf("%w %q", server.ErrNoStatement, id)
 }
 
-func (c *Coordinator) handleStmtInfo(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	info, ok := c.Stmt(id)
-	if !ok {
-		http.Error(w, fmt.Sprintf("cluster: no prepared statement %q", id), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+func (b backend) CloseStmt(ctx context.Context, id string) error { return b.c.CloseStmt(ctx, id) }
+
+// Stats refreshes the node snapshots and returns the cluster view.
+func (b backend) Stats(ctx context.Context) any {
+	b.c.Poll(ctx)
+	return b.c.Stats()
 }
 
-func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
-	var req server.ExecRequest
-	if err := decodeBody(r, &req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	args, err := decodeArgs(req.Args)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	contentType, err := server.NegotiateWire(r, req.Options)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	rows, err := c.Exec(r.Context(), r.PathValue("id"), args, requestOptions(r, req.Options))
-	if err != nil {
-		http.Error(w, err.Error(), errorStatus(err))
-		return
-	}
-	c.restream(w, rows, contentType)
-}
+// result adapts a scatter-gather cursor to server.Result: the wire footer
+// carries the cluster row count and thread total.
+type result struct{ *Rows }
 
-func (c *Coordinator) handleStmtClose(w http.ResponseWriter, r *http.Request) {
-	if err := c.CloseStmt(r.Context(), r.PathValue("id")); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleStats refreshes the node snapshots and returns the cluster view.
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	c.Poll(r.Context())
-	writeJSON(w, http.StatusOK, c.Stats())
-}
-
-// restream writes a merged scatter-gather result onto the coordinator's own
-// response in the negotiated encoding, chunked and flushed like a serve
-// node's stream. A mid-stream node failure travels in-band as an error
-// frame — the header is already on the wire by then.
-func (c *Coordinator) restream(w http.ResponseWriter, rows *Rows, contentType string) {
-	defer rows.Close()
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Accel-Buffering", "no")
-	head := rows.Header()
-	enc := server.NewStreamEncoder(w, contentType, head.Types)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if err := enc.Header(head); err != nil {
-		return
-	}
-	flush()
-	firstChunk := true
-	chunk := make([][]any, 0, chunkRows)
-	emit := func() bool {
-		if len(chunk) == 0 {
-			return true
-		}
-		err := enc.Rows(chunk)
-		if firstChunk {
-			// The first chunk leaves immediately so a streaming client sees
-			// rows while workers are still producing; later chunks ride the
-			// response writer's own buffering.
-			flush()
-			firstChunk = false
-		}
-		chunk = chunk[:0]
-		return err == nil
-	}
-	for rows.Next() {
-		chunk = append(chunk, rows.Row())
-		if len(chunk) >= chunkRows && !emit() {
-			return
-		}
-	}
-	if err := rows.Err(); err != nil {
-		enc.Fail(err.Error())
-		flush()
-		return
-	}
-	if !emit() {
-		return
-	}
-	f := rows.Footer()
-	enc.Done(&server.Footer{RowCount: f.RowCount, Threads: f.Threads})
-	flush()
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+func (r result) Footer() *server.Footer {
+	f := r.Rows.Footer()
+	return &server.Footer{RowCount: f.RowCount, Threads: f.Threads}
 }

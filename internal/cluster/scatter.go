@@ -156,17 +156,23 @@ type subquery struct {
 }
 
 // openOnShard establishes a shard's subquery on the first replica (in
-// placement-preference order, minus exclude) that accepts it. Replica
-// faults move on to the next candidate and feed the breaker; a non-fault
-// error (bad SQL, cancellation) returns immediately — it would fail
-// identically everywhere. want, when non-nil, is the cluster result shape a
-// failover replacement stream must match. failedOver reports that at least
-// one candidate was skipped over a fault before one succeeded.
-func (c *Coordinator) openOnShard(ctx context.Context, sh *shard, exclude *replica, want *server.Header, open openFn) (sub *subquery, failedOver bool, err error) {
+// placement-preference order) that accepts it. Replica faults move on to
+// the next candidate and feed the breaker; a non-fault error (bad SQL,
+// cancellation) returns immediately — it would fail identically
+// everywhere. failed, when non-nil, is the NodeError of a replica whose
+// stream just died: that replica is skipped but counts as tried, and its
+// error is the cause reported if no sibling takes over. want, when non-nil,
+// is the cluster result shape a failover replacement stream must match.
+// failedOver reports that at least one candidate was skipped over a fault
+// before one succeeded.
+func (c *Coordinator) openOnShard(ctx context.Context, sh *shard, failed *NodeError, want *server.Header, open openFn) (sub *subquery, failedOver bool, err error) {
 	var lastErr error
 	tried := 0
+	if failed != nil {
+		lastErr, tried = failed, 1
+	}
 	for _, rep := range sh.candidates() {
-		if rep == exclude {
+		if failed != nil && rep.name == failed.Node {
 			continue
 		}
 		if ctx.Err() != nil {
@@ -340,12 +346,13 @@ func (c *Coordinator) readSubquery(ctx context.Context, g *gather, i int, sub *s
 			// fallout is noise.
 			return
 		}
+		ne := &NodeError{Node: rep.name, Err: err}
 		if !replicaFault(err) || merged > 0 {
-			g.fail(&NodeError{Node: rep.name, Err: err})
+			g.fail(ne)
 			return
 		}
 		rep.brk.failure()
-		nsub, _, oerr := c.openOnShard(ctx, sub.sh, rep, want, open)
+		nsub, _, oerr := c.openOnShard(ctx, sub.sh, ne, want, open)
 		if oerr != nil {
 			g.fail(oerr)
 			return

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"dbs3/internal/esql"
@@ -18,7 +17,7 @@ import (
 type coordStmt struct {
 	sql  string
 	spec *esql.ScatterSpec
-	info server.PrepareResponse // coordinator-facing metadata (coord id)
+	info server.PrepareResponse // coordinator-facing metadata; the registry holds the id
 
 	mu  sync.Mutex
 	ids map[*replica]string
@@ -45,19 +44,14 @@ func (s *coordStmt) setID(r *replica, id string) {
 // parse/compile (their plan caches hold the compiled plan against each
 // shard). A replica that is down may miss the prepare — tolerated as long
 // as at least one replica per shard holds the statement; the missing half
-// is re-prepared lazily if a subquery ever fails over onto it.
+// is re-prepared lazily if a subquery ever fails over onto it. A full
+// registry fails with server.ErrTooManyStatements after the replicas' halves
+// are closed again.
 func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Options) (*server.PrepareResponse, error) {
 	spec, err := esql.ScatterPlan(sql)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if len(c.stmts) >= c.maxStmt {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: prepared-statement registry full (%d open)", c.maxStmt)
-	}
-	c.mu.Unlock()
-
 	stmt := &coordStmt{sql: sql, spec: spec, ids: make(map[*replica]string)}
 	var reps []*replica
 	c.replicas(func(r *replica) { reps = append(reps, r) })
@@ -127,30 +121,30 @@ func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Optio
 		}
 	}
 
-	id := "c" + strconv.FormatInt(c.nextID.Add(1), 10)
 	stmt.info = server.PrepareResponse{
-		ID:      id,
 		SQL:     sql,
 		Columns: first.Columns,
 		Types:   first.Types,
 		Params:  spec.Params,
 	}
-	c.mu.Lock()
-	c.stmts[id] = stmt
-	c.mu.Unlock()
+	id, err := c.stmts.Add(stmt)
+	if err != nil {
+		cleanup()
+		return nil, err
+	}
 	out := stmt.info
+	out.ID = id
 	return &out, nil
 }
 
 // Stmt returns a prepared statement's metadata.
 func (c *Coordinator) Stmt(id string) (*server.PrepareResponse, bool) {
-	c.mu.Lock()
-	stmt, ok := c.stmts[id]
-	c.mu.Unlock()
-	if !ok {
+	stmt, err := c.stmts.Get(id)
+	if err != nil {
 		return nil, false
 	}
 	out := stmt.info
+	out.ID = id
 	return &out, true
 }
 
@@ -161,11 +155,9 @@ func (c *Coordinator) Stmt(id string) (*server.PrepareResponse, bool) {
 // that replica's attempt, at which point the ordinary failover machinery
 // tries a sibling.
 func (c *Coordinator) Exec(ctx context.Context, id string, args []any, opt *server.Options) (*Rows, error) {
-	c.mu.Lock()
-	stmt, ok := c.stmts[id]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("cluster: no prepared statement %q", id)
+	stmt, err := c.stmts.Get(id)
+	if err != nil {
+		return nil, err
 	}
 	if len(args) != stmt.spec.Params {
 		return nil, fmt.Errorf("cluster: statement %s has %d parameters, got %d arguments", id, stmt.spec.Params, len(args))
@@ -194,14 +186,9 @@ func (c *Coordinator) Exec(ctx context.Context, id string, args []any, opt *serv
 // closes each replica's half (a replica that already expired it returns
 // 404, which is the desired end state anyway).
 func (c *Coordinator) CloseStmt(ctx context.Context, id string) error {
-	c.mu.Lock()
-	stmt, ok := c.stmts[id]
-	if ok {
-		delete(c.stmts, id)
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: no prepared statement %q", id)
+	stmt, err := c.stmts.Remove(id)
+	if err != nil {
+		return err
 	}
 	stmt.mu.Lock()
 	ids := make(map[*replica]string, len(stmt.ids))

@@ -86,7 +86,7 @@ type Options struct {
 	// redistributed over the grant (Allocation.ResizeChain). An admission
 	// controller uses the hook to take back a finished chain's surplus
 	// threads — or hand out freed budget — between chains
-	// (runtime.Manager.Readmit). Readmit must never block on the budget:
+	// (runtime.Manager.ReadmitAt). Readmit must never block on the budget:
 	// a grant below the request is the correct answer when the machine is
 	// busy. Ignored for single-chain plans, with ConcurrentChains, and
 	// when Threads is set explicitly (explicit requests are not adapted).

@@ -19,6 +19,7 @@ import (
 
 	"dbs3/internal/esql"
 	"dbs3/internal/lera"
+	"dbs3/internal/storage"
 	"dbs3/internal/workload"
 )
 
@@ -238,5 +239,45 @@ func TestSpillAccountingDrains(t *testing.T) {
 	}
 	if b, _ := totalSpilled(res); b == 0 {
 		t.Fatal("expected the starved join to spill")
+	}
+}
+
+// TestSpillManyRunsShareOneFile: a grouping far wider than its grant spills
+// its group table hundreds of times. Every run appends to the query's one
+// spill file, so the descriptor count stays at one however many runs the
+// query writes, and the merged result still equals the in-memory run.
+func TestSpillManyRunsShareOneFile(t *testing.T) {
+	const sql = "SELECT unique2, COUNT(*) FROM wisc GROUP BY unique2"
+	plan, db := wisconsinPlan(t, sql, "unique2", 20_000, 2)
+	ref, err := Execute(plan, db, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRel, err := ref.Relation(esql.OutputName)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	env, err := storage.NewSpillEnv(t.TempDir(), spillBudget, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	got, err := Execute(plan, db, Options{Threads: 2, MemoryBudget: spillBudget, Spill: env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRel, err := got.Relation(esql.OutputName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gotRel.EqualMultiset(refRel) {
+		t.Error("spilled result differs from the in-memory run")
+	}
+	if _, passes := totalSpilled(got); passes < 200 {
+		t.Fatalf("only %d spill passes; the test needs hundreds of runs", passes)
+	}
+	if n := env.Set.Files(); n > 1 {
+		t.Errorf("spill set opened %d files, want at most 1", n)
 	}
 }

@@ -31,7 +31,7 @@ type Compiler struct {
 	// second pipeline chain scans it into the rest of the plan. The split
 	// costs a materialization but gives the executor a §3 chain boundary —
 	// the site where a QueryManager renegotiates the query's thread
-	// reservation mid-flight (Manager.Readmit).
+	// reservation mid-flight (Manager.ReadmitAt).
 	Materialize bool
 }
 

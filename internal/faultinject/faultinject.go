@@ -284,10 +284,19 @@ func (p *Proxy) Close() error {
 	return err
 }
 
-func (p *Proxy) track(c net.Conn) {
+// track registers a live connection so Sever and Close can kill it. It
+// refuses once Close has begun: Close sets closed before it snapshots live
+// under the same mutex, so a connection is either in that snapshot or
+// refused here — never missed, which would leave its handler blocked and
+// Close waiting on it forever.
+func (p *Proxy) track(c net.Conn) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
+		return false
+	}
 	p.live[c] = struct{}{}
-	p.mu.Unlock()
+	return true
 }
 
 func (p *Proxy) untrack(c net.Conn) {
@@ -332,7 +341,10 @@ func hardClose(c net.Conn) {
 // serve applies one connection's fault.
 func (p *Proxy) serve(client net.Conn, f Fault) {
 	defer p.wg.Done()
-	p.track(client)
+	if !p.track(client) {
+		client.Close()
+		return
+	}
 	defer p.untrack(client)
 
 	switch f.Kind {
@@ -354,7 +366,11 @@ func (p *Proxy) serve(client net.Conn, f Fault) {
 		hardClose(client)
 		return
 	}
-	p.track(upstream)
+	if !p.track(upstream) {
+		client.Close()
+		upstream.Close()
+		return
+	}
 	defer p.untrack(upstream)
 
 	// Request direction: forward untouched. When the response side decides

@@ -18,7 +18,7 @@
 //
 // Reservations are renegotiable mid-flight: at each chain boundary of a
 // multi-chain query — the paper's materialization points — the engine calls
-// Manager.Readmit with the next chain's desired thread count, and the
+// Manager.ReadmitAt with the next chain's desired thread count, and the
 // manager returns the finished chain's surplus to the budget or grows the
 // allocation into freed headroom, re-running the scheduler's utilization
 // throttle with a fresh measurement. A long batch query thus stops pinning
@@ -136,7 +136,7 @@ type Stats struct {
 	MemReturnedEarly int64
 	// Readmissions counts chain-boundary renegotiations: every time a
 	// multi-chain query re-ran the Figure 5 scheduler step at a
-	// materialization point (Manager.Readmit), whether or not the grant
+	// materialization point (Manager.ReadmitAt), whether or not the grant
 	// changed. ThreadsReturnedEarly totals the threads such renegotiations
 	// handed back to the budget mid-flight (before Finish);
 	// ThreadsGrownMidFlight totals the threads they took out of freed
@@ -488,15 +488,16 @@ func (m *Manager) blendLocked(u float64) float64 {
 	return u
 }
 
-// Readmit renegotiates an in-flight admission's thread reservation at a
-// chain boundary — the paper's materialization points, where a plan-based
-// re-optimization is safe because no operator is mid-pipeline. want is the
-// next chain's desired thread count (Allocation.ChainWant) and min its node
-// count — the floor the chain actually runs with, since every node pool
-// needs at least one thread. Readmit re-runs the Figure 5 step-1 throttle
-// against utilization measured freshly from the threads other queries hold
-// right now (blended, like the admission sample, with the completion EWMA
-// so a momentary trough reads as busy), then:
+// ReadmitAt renegotiates an in-flight admission's reservation at a chain
+// boundary — the paper's materialization points, where a plan-based
+// re-optimization is safe because no operator is mid-pipeline. chain is the
+// index of the chain about to start, want its desired thread count
+// (Allocation.ChainWant) and min its node count — the floor the chain
+// actually runs with, since every node pool needs at least one thread.
+// ReadmitAt re-runs the Figure 5 step-1 throttle against utilization
+// measured freshly from the threads other queries hold right now (blended,
+// like the admission sample, with the completion EWMA so a momentary trough
+// reads as busy), then:
 //
 //   - shrinks the reservation when the chain needs less than is held,
 //     returning the surplus to the budget immediately (queued admissions
@@ -512,24 +513,20 @@ func (m *Manager) blendLocked(u float64) float64 {
 // still land under min — the same nominal-ledger mismatch an admission
 // into a squeezed budget has, never an overcommit. Releases do not feed
 // the utilization EWMA — only Finish samples it, once per query. Calling
-// Readmit on a finished admission is a harmless no-op.
-func (m *Manager) Readmit(a *Admission, want, min int) int {
-	return m.ReadmitAt(a, -1, want, min)
-}
-
-// ReadmitAt is Readmit with the chain boundary made explicit: chain is the
-// index of the chain about to start, and alongside the thread renegotiation
-// the query's working-memory reservation is shrunk to the peak estimate of
-// the remaining chains (Allocation.ChainMem[chain:]), capped at the original
-// grant. Memory renegotiation is shrink-only and never blocks — growth would
-// reintroduce hold-and-wait against the admission line, and a chain that
-// turns out to need more than the shrunk grant degrades by spilling, not by
-// waiting. Returned bytes wake queued admissions immediately, so a long
-// multi-chain query stops pinning its peak-chain memory through cheap tail
-// chains. The estimate ledger is approximate (materialized intermediates
-// from earlier chains are priced into the chain that wrote them); the spill
-// accountant, retargeted to the shrunk grant by the caller, is the
-// enforcement boundary. chain < 0 (or out of range) skips the memory step.
+// ReadmitAt on a finished admission is a harmless no-op.
+//
+// Alongside the thread renegotiation the query's working-memory reservation
+// is shrunk to the peak estimate of the remaining chains
+// (Allocation.ChainMem[chain:]), capped at the original grant. Memory
+// renegotiation is shrink-only and never blocks — growth would reintroduce
+// hold-and-wait against the admission line, and a chain that turns out to
+// need more than the shrunk grant degrades by spilling, not by waiting.
+// Returned bytes wake queued admissions immediately, so a long multi-chain
+// query stops pinning its peak-chain memory through cheap tail chains. The
+// estimate ledger is approximate (materialized intermediates from earlier
+// chains are priced into the chain that wrote them); the spill accountant,
+// retargeted to the shrunk grant by the caller, is the enforcement
+// boundary. chain < 0 (or out of range) skips the memory step.
 func (m *Manager) ReadmitAt(a *Admission, chain, want, min int) int {
 	if min < 1 {
 		min = 1
@@ -571,7 +568,7 @@ func (m *Manager) ReadmitAt(a *Admission, chain, want, min int) int {
 		// ticket measured the headroom it will reserve from, and growing
 		// under it would overcommit the budget when it reserves. (A shrink
 		// during the window is always safe — it only adds headroom beyond
-		// what the ticket measured.) Declining growth keeps Readmit
+		// what the ticket measured.) Declining growth keeps ReadmitAt
 		// non-blocking; the chain simply runs with what it holds.
 		if m.admitting >= 0 {
 			grant = a.held
@@ -690,7 +687,7 @@ func (m *Manager) Reserve(ctx context.Context, n int) (release func(), err error
 // Admission is one admitted query's reservation against the budget. The
 // caller owns the reserved threads until Finish returns them; Stats and
 // Alloc describe what the admission decided. Between chains of a
-// multi-chain query the reservation is renegotiable: Manager.Readmit
+// multi-chain query the reservation is renegotiable: Manager.ReadmitAt
 // adjusts the held thread count at each materialization point.
 type Admission struct {
 	m     *Manager
@@ -704,8 +701,8 @@ type Admission struct {
 	once sync.Once
 
 	// held is the thread count currently reserved (starts at alloc.Total,
-	// renegotiated by Readmit); trace records each renegotiated grant;
-	// finished blocks late Readmit calls. memGrant is the working-memory
+	// renegotiated by ReadmitAt); trace records each renegotiated grant;
+	// finished blocks late ReadmitAt calls. memGrant is the working-memory
 	// bytes granted at admission (immutable); memHeld is the bytes
 	// currently reserved (shrunk by ReadmitAt). All but memGrant guarded
 	// by m.mu.
@@ -721,7 +718,7 @@ type Admission struct {
 func (a *Admission) Alloc() core.Allocation { return a.alloc }
 
 // ChainTrace returns the per-chain thread grants renegotiated so far (one
-// entry per Manager.Readmit call, in chain order).
+// entry per Manager.ReadmitAt call, in chain order).
 func (a *Admission) ChainTrace() []int {
 	a.m.mu.Lock()
 	defer a.m.mu.Unlock()
@@ -758,7 +755,7 @@ func (a *Admission) NoteSpill(bytes, passes int64) {
 	m.mu.Unlock()
 }
 
-// Finish returns the reservation — whatever Readmit has left of it — to the
+// Finish returns the reservation — whatever ReadmitAt has left of it — to the
 // budget and classifies the outcome from err itself: nil = completed, a
 // context cancellation or deadline = cancelled, anything else = failed. An
 // operator failure stays Failed even when the caller's context also died
@@ -965,7 +962,7 @@ func (m *Manager) Admit(ctx context.Context, plan *lera.Plan, db core.DB, opts *
 // Execute admits one query and runs it under the shared budget: Admit +
 // core.ExecuteAllocated + Finish in one call, for callers that do not stream
 // results. The query is queued as PriorityInteractive. Multi-chain queries
-// renegotiate their reservation at each materialization point (Readmit);
+// renegotiate their reservation at each materialization point (ReadmitAt);
 // the per-chain grants come back in QueryStats.ChainThreads.
 func (m *Manager) Execute(ctx context.Context, plan *lera.Plan, db core.DB, opts core.Options) (*core.Result, QueryStats, error) {
 	adm, err := m.Admit(ctx, plan, db, &opts, PriorityInteractive)

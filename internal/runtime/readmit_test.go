@@ -52,7 +52,7 @@ func TestReadmitReleasesSurplus(t *testing.T) {
 		t.Fatalf("after Admit: %+v", st)
 	}
 
-	if grant := m.Readmit(adm, 2, 1); grant != 2 {
+	if grant := m.ReadmitAt(adm, -1, 2, 1); grant != 2 {
 		t.Fatalf("shrink grant = %d, want 2", grant)
 	}
 	st := m.Stats()
@@ -68,7 +68,7 @@ func TestReadmitReleasesSurplus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant := m.Readmit(adm, 8, 1)
+	grant := m.ReadmitAt(adm, -1, 8, 1)
 	// others = 4 of 8 -> utilization 0.5 -> effective want 4; free = 2, so
 	// the grant lands at min(4, 2+2) = 4.
 	if grant != 4 {
@@ -124,7 +124,7 @@ func TestReadmitAdmitsWaiterMidFlight(t *testing.T) {
 
 	// The boundary: query 1's next chain needs one thread; the surplus
 	// admits query 2 while query 1 is still mid-flight.
-	if grant := m.Readmit(adm1, 1, 1); grant != 1 {
+	if grant := m.ReadmitAt(adm1, -1, 1, 1); grant != 1 {
 		t.Fatalf("grant = %d, want 1", grant)
 	}
 	var adm2 *Admission
@@ -363,7 +363,7 @@ func TestReadmitBlendsEWMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grant := m.Readmit(adm2, 8, 1); grant != 6 {
+	if grant := m.ReadmitAt(adm2, -1, 8, 1); grant != 6 {
 		t.Fatalf("trough grant = %d, want 6 (throttled by the 0.25 blend)", grant)
 	}
 	if st := m.Stats(); st.ThreadsReturnedEarly != 2 {
@@ -410,7 +410,7 @@ func TestReadmitGrowthYieldsToPlanningAdmission(t *testing.T) {
 
 	// A's boundary hits inside B's planning window: growth must be
 	// declined (B measured 6 free and will reserve exactly that).
-	if grant := m.Readmit(admA, 8, 1); grant != 2 {
+	if grant := m.ReadmitAt(admA, -1, 8, 1); grant != 2 {
 		t.Fatalf("grant = %d during an admission's planning window, want the held 2", grant)
 	}
 	close(resume)
@@ -438,7 +438,7 @@ func TestReadmitFloorsAtChainNodeCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The chain wants 1 thread but has 3 nodes: the grant floors at 3.
-	if grant := m.Readmit(adm, 1, 3); grant != 3 {
+	if grant := m.ReadmitAt(adm, -1, 1, 3); grant != 3 {
 		t.Fatalf("grant = %d, want the 3-node floor", grant)
 	}
 	if st := m.Stats(); st.ThreadsReturnedEarly != 3 {

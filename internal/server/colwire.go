@@ -367,14 +367,14 @@ type resultEncoder interface {
 	fail(msg string) error
 }
 
-// StreamEncoder is the exported face of a result-stream encoder, for
-// front ends outside this package (the cluster coordinator) that speak the
-// same wire protocol: one Header, any number of row chunks, one terminal
-// Done or Fail. Calls must be serialized by the caller.
+// StreamEncoder is the exported face of a result-stream encoder: one
+// Header, any number of row chunks, one terminal Done or Fail. The front
+// end streams through it, and tests use it to script a worker's stream.
+// Calls must be serialized by the caller.
 type StreamEncoder struct{ enc resultEncoder }
 
-// NewStreamEncoder builds an encoder for the negotiated Content-Type (from
-// NegotiateWire): the NDJSON message stream or the binary columnar frame
+// NewStreamEncoder builds an encoder for a negotiated Content-Type: the
+// NDJSON message stream or the binary columnar frame
 // stream. types aligns with the result columns and is required for columnar
 // encoding.
 func NewStreamEncoder(w io.Writer, contentType string, types []string) *StreamEncoder {

@@ -41,7 +41,7 @@ func newGCServer(t *testing.T, ttl time.Duration) (*Client, *fakeClock) {
 	m := db.Manager(dbs3.ManagerConfig{Budget: testBudget})
 	srv := New(db, m, Config{StmtTTL: ttl})
 	clock := &fakeClock{t: time.Unix(1_000_000, 0)}
-	srv.now = clock.now
+	srv.stmts.now = clock.now
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { ts.Client().CloseIdleConnections() })
@@ -130,9 +130,10 @@ func TestStatementGCFreesCapForNewClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := db.Manager(dbs3.ManagerConfig{Budget: testBudget})
-	srv := New(db, m, Config{StmtTTL: time.Minute, MaxStatements: 2})
+	srv := New(db, m, Config{StmtTTL: time.Minute})
+	srv.stmts.max = 2
 	clock := &fakeClock{t: time.Unix(1_000_000, 0)}
-	srv.now = clock.now
+	srv.stmts.now = clock.now
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { ts.Client().CloseIdleConnections() })

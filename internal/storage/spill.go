@@ -9,46 +9,55 @@ import (
 )
 
 // Larger-than-memory execution: when a blocking operator exceeds its memory
-// grant it writes state to spill files — real OS temp files of PageSize
-// slotted pages — and reads it back through a BufferPool. A query's spill
-// files form a SpillSet addressed exactly like the simulated disk Array
-// (PageID.Disk = file index, PageID.Slot = page within the file), so the
-// pool, page, and codec layers serve both regimes unchanged.
+// grant it writes state to spill runs and reads it back through a
+// BufferPool. A query's runs all append their pages to one SpillSet — a
+// single OS temp file of PageSize slotted pages — so however many runs a
+// query spills, it holds at most one descriptor. The set is addressed like
+// the simulated disk Array (PageID.Disk is always 0, PageID.Slot the page's
+// slot in the file), so the pool, page, and codec layers serve both
+// regimes unchanged.
 
-// SpillFile is one append-only temp file of PageSize pages. It is removed
-// from the filesystem on Close; Close is idempotent and safe on the
-// error/cancel path.
-type SpillFile struct {
+// SpillSet is a query's spill file: append-only, shared by every run, opened
+// on the first page written and removed from the filesystem on Close. It
+// satisfies PageReader so a BufferPool can cache read-back.
+type SpillSet struct {
+	dir string
+
 	mu     sync.Mutex
-	f      *os.File
-	name   string
-	pages  int
+	f      *os.File // nil until the first page is written
+	pages  int      // slots reserved
+	files  int      // temp files opened (0 or 1)
 	closed bool
 }
 
-func newSpillFile(dir string) (*SpillFile, error) {
-	f, err := os.CreateTemp(dir, "dbs3-spill-*.pages")
-	if err != nil {
-		return nil, fmt.Errorf("storage: creating spill file: %w", err)
-	}
-	return &SpillFile{f: f, name: f.Name()}, nil
-}
+// NewSpillSet creates an empty set writing its temp file under dir ("" =
+// os.TempDir()).
+func NewSpillSet(dir string) *SpillSet { return &SpillSet{dir: dir} }
 
-// Append writes a page image at the end of the file and returns its slot.
-func (s *SpillFile) Append(img []byte) (int, error) {
+// append writes a page image at the next free slot and returns the slot.
+func (s *SpillSet) append(img []byte) (int, error) {
 	if len(img) != PageSize {
 		return 0, fmt.Errorf("storage: spill page image is %d bytes, want %d", len(img), PageSize)
 	}
 	// Reserve the slot under the lock; write outside it. Holding the
-	// mutex across WriteAt would convoy concurrent readers of other
-	// slots behind this write's disk latency (the BufferPool.Get bug
+	// mutex across WriteAt would convoy concurrent writers and readers of
+	// other slots behind this write's disk latency (the BufferPool.Get bug
 	// class). WriteAt on distinct offsets is safe concurrently, and a
-	// failed write just leaves a hole the caller never hands out —
-	// spill errors abandon the whole SpillSet.
+	// failed write just leaves a hole no run ever references — spill
+	// errors abandon the whole set.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("storage: append to closed spill file %s", s.name)
+		return 0, fmt.Errorf("storage: spill set already closed")
+	}
+	if s.f == nil {
+		f, err := os.CreateTemp(s.dir, "dbs3-spill-*.pages")
+		if err != nil {
+			s.mu.Unlock()
+			return 0, fmt.Errorf("storage: creating spill file: %w", err)
+		}
+		s.f = f
+		s.files++
 	}
 	slot := s.pages
 	s.pages++
@@ -60,131 +69,67 @@ func (s *SpillFile) Append(img []byte) (int, error) {
 	return slot, nil
 }
 
-// Read returns the page image at slot. The bounds check happens under the
-// lock, the disk read outside it, so concurrent readers never serialize
-// behind one another's I/O. A Close racing the read surfaces as a read
-// error (closed descriptor), which only happens on the cancel/error path
-// where the result is already discarded.
-func (s *SpillFile) Read(slot int) ([]byte, error) {
+// Read fetches the page image at id, satisfying PageReader. The bounds
+// check happens under the lock, the disk read outside it, so concurrent
+// readers never serialize behind one another's I/O. A Close racing the
+// read surfaces as a read error (closed descriptor), which only happens on
+// the cancel/error path where the result is already discarded.
+func (s *SpillSet) Read(id PageID) ([]byte, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("storage: read of closed spill file %s", s.name)
+		return nil, fmt.Errorf("storage: read of closed spill set")
 	}
-	if slot < 0 || slot >= s.pages {
+	if id.Disk != 0 || id.Slot < 0 || id.Slot >= s.pages {
 		pages := s.pages
 		s.mu.Unlock()
-		return nil, fmt.Errorf("storage: read of slot %d in spill file with %d pages", slot, pages)
+		return nil, fmt.Errorf("storage: read of page %v in spill set with %d pages", id, pages)
 	}
 	f := s.f
 	s.mu.Unlock()
 	img := make([]byte, PageSize)
-	if _, err := f.ReadAt(img, int64(slot)*PageSize); err != nil {
+	if _, err := f.ReadAt(img, int64(id.Slot)*PageSize); err != nil {
 		return nil, fmt.Errorf("storage: reading spill page: %w", err)
 	}
 	return img, nil
-}
-
-// Pages returns the number of pages written.
-func (s *SpillFile) Pages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pages
-}
-
-// Close closes the descriptor and removes the file. Idempotent.
-func (s *SpillFile) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.f.Close()
-	if rmErr := os.Remove(s.name); err == nil {
-		err = rmErr
-	}
-	return err
-}
-
-// SpillSet is a query's collection of spill files, addressed like a disk
-// array: PageID.Disk indexes the file, PageID.Slot the page within it. It
-// satisfies PageReader so a BufferPool can cache read-back.
-type SpillSet struct {
-	dir string
-
-	mu     sync.Mutex
-	files  []*SpillFile
-	closed bool
-	bytes  int64 // page bytes written across all files
-}
-
-// NewSpillSet creates an empty set writing temp files under dir ("" =
-// os.TempDir()).
-func NewSpillSet(dir string) *SpillSet { return &SpillSet{dir: dir} }
-
-// newFile opens a fresh spill file and returns it with its disk index.
-func (s *SpillSet) newFile() (*SpillFile, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, fmt.Errorf("storage: spill set already closed")
-	}
-	f, err := newSpillFile(s.dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.files = append(s.files, f)
-	return f, len(s.files) - 1, nil
-}
-
-// Read fetches the page image at id, satisfying PageReader.
-func (s *SpillSet) Read(id PageID) ([]byte, error) {
-	s.mu.Lock()
-	if id.Disk < 0 || id.Disk >= len(s.files) {
-		n := len(s.files)
-		s.mu.Unlock()
-		return nil, fmt.Errorf("storage: spill file %d out of range [0,%d)", id.Disk, n)
-	}
-	f := s.files[id.Disk]
-	s.mu.Unlock()
-	return f.Read(id.Slot)
 }
 
 // Bytes returns the total page bytes written to the set.
 func (s *SpillSet) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bytes
+	return int64(s.pages) * PageSize
 }
 
-// Files returns the number of spill files opened.
+// Files returns the number of temp files the set has opened: 0 before the
+// first spilled page, 1 after, however many runs were written.
 func (s *SpillSet) Files() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.files)
+	return s.files
 }
 
-// Close closes and removes every spill file. Idempotent; called on query
+// Close closes and removes the spill file. Idempotent; called on query
 // completion, error, and cancellation alike, so a query aborted mid-spill
-// leaves no temp files or descriptors behind.
+// leaves no temp file or descriptor behind.
 func (s *SpillSet) Close() error {
 	s.mu.Lock()
-	files := s.files
-	s.files = nil
+	f := s.f
+	s.f = nil
 	s.closed = true
 	s.mu.Unlock()
-	var first error
-	for _, f := range files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
+	if f == nil {
+		return nil
 	}
-	return first
+	err := f.Close()
+	if rmErr := os.Remove(f.Name()); err == nil {
+		err = rmErr
+	}
+	return err
 }
 
 // SpillEnv bundles a query's larger-than-memory resources: the accountant
-// enforcing its memory grant, the temp-file set, and a buffer pool for
+// enforcing its memory grant, the spill file, and a buffer pool for
 // read-back. The engine threads one env through every blocking operator of
 // a query; Close on any exit path (success, error, cancel) removes all
 // spill state.
@@ -224,8 +169,8 @@ func NewSpillEnv(dir string, grant int64, poolPages int, metrics *PoolMetrics) (
 	return &SpillEnv{Mem: NewAccountant(grant), Set: set, Pool: pool}, nil
 }
 
-// Close tears down the env: drops cached pages and removes every spill
-// file. Idempotent.
+// Close tears down the env: drops cached pages and removes the spill file.
+// Idempotent.
 func (e *SpillEnv) Close() error {
 	if e == nil {
 		return nil
@@ -245,27 +190,19 @@ func (e *SpillEnv) Spilled() (bytes, passes int64) {
 // NewRun starts a run writer in the env's set.
 func (e *SpillEnv) NewRun() *RunWriter { return &RunWriter{env: e} }
 
-// RunWriter packs tuples into slotted pages appended to one spill file (one
-// file per run, so a run's pages are slots 0..Pages-1 of its file). Writers
-// are not safe for concurrent use; operators guard them with their own
-// locks.
+// RunWriter packs tuples into slotted pages appended to the env's spill
+// set. Runs written concurrently interleave their pages in the file, so a
+// run records the slots it owns. Writers are not safe for concurrent use;
+// operators guard them with their own locks.
 type RunWriter struct {
 	env    *SpillEnv
-	file   *SpillFile
-	disk   int
 	page   *Page
+	slots  []int32
 	tuples int
 }
 
 // Add appends a tuple to the run.
 func (w *RunWriter) Add(t relation.Tuple) error {
-	if w.file == nil {
-		f, disk, err := w.env.Set.newFile()
-		if err != nil {
-			return err
-		}
-		w.file, w.disk = f, disk
-	}
 	if w.page == nil {
 		w.page = NewPage()
 	}
@@ -285,12 +222,11 @@ func (w *RunWriter) Add(t relation.Tuple) error {
 }
 
 func (w *RunWriter) flush() error {
-	if _, err := w.file.Append(w.page.Bytes()); err != nil {
+	slot, err := w.env.Set.append(w.page.Bytes())
+	if err != nil {
 		return err
 	}
-	w.env.Set.mu.Lock()
-	w.env.Set.bytes += PageSize
-	w.env.Set.mu.Unlock()
+	w.slots = append(w.slots, int32(slot))
 	w.env.Mem.NoteSpill(PageSize)
 	w.page = NewPage()
 	return nil
@@ -303,11 +239,7 @@ func (w *RunWriter) Finish() (Run, error) {
 			return Run{}, err
 		}
 	}
-	r := Run{env: w.env, disk: w.disk, tuples: w.tuples}
-	if w.file != nil {
-		r.pages = w.file.Pages()
-	}
-	return r, nil
+	return Run{env: w.env, slots: w.slots, tuples: w.tuples}, nil
 }
 
 // Tuples returns the number of tuples added so far.
@@ -317,8 +249,7 @@ func (w *RunWriter) Tuples() int { return w.tuples }
 // through the env's buffer pool.
 type Run struct {
 	env    *SpillEnv
-	disk   int
-	pages  int
+	slots  []int32 // the run's pages in write order
 	tuples int
 }
 
@@ -329,13 +260,13 @@ func (r Run) Empty() bool { return r.tuples == 0 }
 func (r Run) Len() int { return r.tuples }
 
 // Bytes returns the run's on-disk size.
-func (r Run) Bytes() int64 { return int64(r.pages) * PageSize }
+func (r Run) Bytes() int64 { return int64(len(r.slots)) * PageSize }
 
 // Each calls f for every tuple in write order, reading pages through the
 // env's buffer pool.
 func (r Run) Each(f func(t relation.Tuple) error) error {
-	for slot := 0; slot < r.pages; slot++ {
-		p, err := r.env.Pool.Get(PageID{Disk: r.disk, Slot: slot})
+	for _, slot := range r.slots {
+		p, err := r.env.Pool.Get(PageID{Slot: int(slot)})
 		if err != nil {
 			return err
 		}
@@ -368,7 +299,7 @@ func (r Run) Cursor() *RunCursor { return &RunCursor{run: r} }
 // RunCursor streams a run one page at a time.
 type RunCursor struct {
 	run    Run
-	slot   int
+	slot   int // index into run.slots
 	tuples []relation.Tuple
 	pos    int
 	cur    relation.Tuple
@@ -378,10 +309,10 @@ type RunCursor struct {
 // on error (check Err).
 func (c *RunCursor) Next() (relation.Tuple, bool, error) {
 	for c.pos >= len(c.tuples) {
-		if c.slot >= c.run.pages {
+		if c.slot >= len(c.run.slots) {
 			return nil, false, nil
 		}
-		p, err := c.run.env.Pool.Get(PageID{Disk: c.run.disk, Slot: c.slot})
+		p, err := c.run.env.Pool.Get(PageID{Slot: int(c.run.slots[c.slot])})
 		if err != nil {
 			return nil, false, err
 		}
