@@ -308,13 +308,13 @@ func BenchmarkAblationQueueAffinity(b *testing.B) {
 
 // --- Batch-at-a-time hot-path benches (BENCH_core.json) ---------------------
 
-// The CoreHotPath pair measures the batched, vectorized data plane against
-// the per-tuple protocol (BatchGrain 1 + NoVectorize: one queue push per
-// tuple, one OnTuple call per activation — the paper's original execution
-// model) on the same plan: same operators, same allocation, only transport
-// and processing grain differ. scripts/bench_core.sh runs them with
-// -benchmem, archives BENCH_core.json, and gates CI on the batched
-// pipeline's allocs/op and on the vectorized-over-per-tuple speedup floor.
+// The CoreHotPath pair measures the batched data plane (default grain)
+// against the per-tuple protocol (BatchGrain 1: one queue push per tuple —
+// the paper's original execution model) on the same plan: same operators,
+// same allocation, only the transport grain differs. scripts/bench_core.sh
+// runs them with -benchmem, archives BENCH_core.json, and gates CI on the
+// batched pipeline's allocs/op and on the batched-over-grain-1 speedup
+// floor.
 //
 // GC is excluded from the timed region (disabled during iterations, with a
 // full collection between them, identically for both variants): collection
@@ -339,7 +339,7 @@ func runGCExcluded(b *testing.B, iter func()) {
 	}
 }
 
-func coreHotPathPipelinedJoin(b *testing.B, grain int, noVec bool) {
+func coreHotPathPipelinedJoin(b *testing.B, grain int) {
 	b.Helper()
 	// Probe-stream heavy shape: a small build side and a 40k-tuple
 	// redistributed probe stream keep the queue protocol — the thing the
@@ -355,7 +355,7 @@ func coreHotPathPipelinedJoin(b *testing.B, grain int, noVec bool) {
 		b.Fatal(err)
 	}
 	rels := db.Relations()
-	opts := core.Options{Threads: 4, BatchGrain: grain, NoVectorize: noVec}
+	opts := core.Options{Threads: 4, BatchGrain: grain}
 	b.ReportAllocs()
 	runGCExcluded(b, func() {
 		res, err := core.Execute(plan, rels, opts)
@@ -369,24 +369,23 @@ func coreHotPathPipelinedJoin(b *testing.B, grain int, noVec bool) {
 }
 
 func BenchmarkCoreHotPathPipelinedJoinBatched(b *testing.B) {
-	coreHotPathPipelinedJoin(b, 0, false)
+	coreHotPathPipelinedJoin(b, 0)
 }
 
 // Grain1 is the per-tuple baseline the speedup gate divides by: one queue
-// push per tuple and per-tuple OnTuple processing (NoVectorize — without it
-// the consumer side would still hand popped multi-tuple runs to OnBatch even
-// at transport grain 1).
+// push per tuple. Consumers still hand whatever run they popped to OnBatch,
+// so only the transport grain separates it from Batched.
 func BenchmarkCoreHotPathPipelinedJoinGrain1(b *testing.B) {
-	coreHotPathPipelinedJoin(b, 1, true)
+	coreHotPathPipelinedJoin(b, 1)
 }
 
-func coreHotPathAggregate(b *testing.B, grain int, noVec bool) {
+func coreHotPathAggregate(b *testing.B, grain int) {
 	b.Helper()
 	db := dbs3.New()
 	if err := db.CreateWisconsin("wisc", 50_000, 16, "unique2", 42); err != nil {
 		b.Fatal(err)
 	}
-	opt := &dbs3.Options{Threads: 4, BatchGrain: grain, NoVectorize: noVec}
+	opt := &dbs3.Options{Threads: 4, BatchGrain: grain}
 	b.ReportAllocs()
 	runGCExcluded(b, func() {
 		res, err := db.QueryAll("SELECT ten, SUM(unique1) FROM wisc GROUP BY ten", opt)
@@ -399,8 +398,8 @@ func coreHotPathAggregate(b *testing.B, grain int, noVec bool) {
 	})
 }
 
-func BenchmarkCoreHotPathAggregateBatched(b *testing.B) { coreHotPathAggregate(b, 0, false) }
-func BenchmarkCoreHotPathAggregateGrain1(b *testing.B)  { coreHotPathAggregate(b, 1, true) }
+func BenchmarkCoreHotPathAggregateBatched(b *testing.B) { coreHotPathAggregate(b, 0) }
+func BenchmarkCoreHotPathAggregateGrain1(b *testing.B)  { coreHotPathAggregate(b, 1) }
 
 // --- Spill benches ---------------------------------------------------------
 

@@ -381,13 +381,6 @@ type Options struct {
 	// Files are created unlinked-on-close and removed on every exit path,
 	// including cancellation.
 	SpillDir string
-	// NoVectorize forces the per-tuple operator path: activation batches
-	// are unpacked into individual OnTuple calls even for operators with a
-	// vectorized OnBatch implementation — the paper's original processing
-	// model, kept as an ablation/debugging switch (the Grain1 hot-path
-	// benchmarks use it as the per-tuple baseline). Results and per-operator
-	// statistics are identical either way; only throughput differs.
-	NoVectorize bool
 }
 
 // validate rejects option values with no meaningful interpretation. Named

@@ -1,16 +1,16 @@
 package core
 
 // Batch-at-a-time data plane tests: Queue.PushBatch unit semantics, and the
-// equivalence property the whole design rests on — a batched, vectorized
-// execution (BatchGrain > 1, operators running OnBatch) is indistinguishable
-// from the per-tuple protocol (BatchGrain = 1 with NoVectorize, every tuple
-// through OnTuple) in everything but speed: identical result multisets,
-// identical per-operator activation/emission accounting (tuples, never
-// batches), identical per-worker activation counts when the allocation is
-// deterministic, and identical cancellation behavior mid-batch. The join
-// matrix also covers the fallback seam: NestedLoop joins have no OnBatch,
-// so their runs take the per-tuple dispatch path while the filters, stores
-// and transmits around them vectorize.
+// equivalence property the whole design rests on — the batch grain changes
+// how tuples travel and how long the runs OnBatch sees are, nothing else.
+// Every grain is checked against a reference that shares no code with the
+// operators (JoinDB.VerifyJoinResult for joins, aggCase.eval for grouped
+// aggregates), its per-operator activation/emission accounting (tuples,
+// never batches) must equal grain 1's — the paper's per-tuple activation
+// protocol — per-worker activation counts must match wherever the
+// allocation is deterministic, and cancellation mid-batch must behave the
+// same at every grain. The join matrix covers all three algorithms,
+// NestedLoop's scalar probe inside OnBatch included.
 
 import (
 	"context"
@@ -163,9 +163,9 @@ func TestBatchGrainDefaultsAndClamp(t *testing.T) {
 // grain (forcing partial flushes at trigger boundaries) and the default.
 var grainsUnderTest = []int{7, DefaultBatchGrain}
 
-// vectorGrains drives the vectorized path against the per-tuple reference:
-// grain 1 (runs of one tuple — the degenerate OnBatch), an awkward odd
-// grain, and the default.
+// vectorGrains are the grains the equivalence suites check: grain 1 first
+// (runs of one tuple — the paper's per-tuple protocol and the accounting
+// reference), an awkward odd grain, and the default.
 var vectorGrains = []int{1, 7, DefaultBatchGrain}
 
 // statsSnapshot flattens the per-node counters that must not depend on the
@@ -188,32 +188,17 @@ func TestBatchGrainEquivalenceJoins(t *testing.T) {
 			for _, assoc := range []bool{false, true} {
 				for _, trigGrain := range []int{0, 3} { // whole-fragment and partial triggers
 					name := fmt.Sprintf("theta=%v/algo=%v/assoc=%v/grain=%d", theta, algo, assoc, trigGrain)
-					// Reference: the strict per-tuple protocol — grain 1 AND
-					// vectorization off, so every tuple goes through OnTuple.
-					base := Options{Threads: 4, TriggerGrain: trigGrain, BatchGrain: 1, NoVectorize: true}
-					ref := executeJoin(t, db, assoc, algo, base)
-					refRel, err := ref.Relation("Res")
-					if err != nil {
-						t.Fatal(err)
-					}
-					refStats := statsSnapshot(ref)
-					if err := db.VerifyJoinResult(ref.Outputs["Res"]); err != nil {
-						t.Fatalf("%s: per-tuple reference wrong: %v", name, err)
-					}
+					var refStats map[int][3]int64
 					for _, bg := range vectorGrains {
-						opts := base
-						opts.BatchGrain = bg
-						opts.NoVectorize = false
-						got := executeJoin(t, db, assoc, algo, opts)
-						gotRel, err := got.Relation("Res")
-						if err != nil {
-							t.Fatal(err)
+						got := executeJoin(t, db, assoc, algo, Options{Threads: 4, TriggerGrain: trigGrain, BatchGrain: bg})
+						if err := db.VerifyJoinResult(got.Outputs["Res"]); err != nil {
+							t.Errorf("%s: grain %d result wrong: %v", name, bg, err)
 						}
-						if !gotRel.EqualMultiset(refRel) {
-							t.Errorf("%s: vectorized grain %d result differs from per-tuple reference", name, bg)
-						}
-						if gs := statsSnapshot(got); !statsEqual(gs, refStats) {
-							t.Errorf("%s: vectorized grain %d accounting %v, per-tuple %v — activations must count tuples, not batches",
+						gs := statsSnapshot(got)
+						if refStats == nil {
+							refStats = gs
+						} else if !statsEqual(gs, refStats) {
+							t.Errorf("%s: grain %d accounting %v, grain 1 %v — activations must count tuples, not batches",
 								name, bg, gs, refStats)
 						}
 					}
@@ -259,36 +244,94 @@ func wisconsinPlan(t *testing.T, sql, partKey string, card, degree int) (*lera.P
 	return plan, DB{"wisc": p}
 }
 
+// aggCase is one grouped aggregate over the generated Wisconsin relation,
+// expressible both as ESQL (sql) and as a direct evaluation (eval).
+type aggCase struct {
+	group    string // grouping column
+	fn       string // COUNT, SUM or MAX
+	col      string // aggregated column; unused by COUNT
+	filtered bool   // WHERE unique1 < 3000
+}
+
+func (c aggCase) sql() string {
+	agg := "COUNT(*)"
+	if c.fn != "COUNT" {
+		agg = c.fn + "(" + c.col + ")"
+	}
+	where := ""
+	if c.filtered {
+		where = " WHERE unique1 < 3000"
+	}
+	return fmt.Sprintf("SELECT %s, %s FROM wisc%s GROUP BY %s", c.group, agg, where, c.group)
+}
+
+// eval computes the case's expected (group, aggregate) rows with plain maps
+// straight over relation.Wisconsin("wisc", card, 42) — a reference that
+// shares no code with the engine's filter or aggregate operators.
+func (c aggCase) eval(card int) *relation.Relation {
+	s := relation.WisconsinSchema
+	gi, u1 := s.MustIndex(c.group), s.MustIndex("unique1")
+	ci := -1
+	if c.fn != "COUNT" {
+		ci = s.MustIndex(c.col)
+	}
+	acc := make(map[int64]int64)
+	for _, t := range relation.Wisconsin("wisc", card, 42).Tuples {
+		if c.filtered && t[u1].AsInt() >= 3000 {
+			continue
+		}
+		g := t[gi].AsInt()
+		cur, seen := acc[g]
+		switch c.fn {
+		case "COUNT":
+			acc[g] = cur + 1
+		case "SUM":
+			acc[g] = cur + t[ci].AsInt()
+		case "MAX":
+			if v := t[ci].AsInt(); !seen || v > cur {
+				acc[g] = v
+			}
+		}
+	}
+	out := relation.New("want", nil)
+	for g, v := range acc {
+		out.Tuples = append(out.Tuples, relation.NewTuple(relation.Int(g), relation.Int(v)))
+	}
+	return out
+}
+
 func TestBatchGrainEquivalenceAggregate(t *testing.T) {
+	const card = 4000
 	for _, partKey := range []string{"unique2", "four"} { // flat and skewed placement
-		for _, sql := range []string{
-			"SELECT ten, COUNT(*) FROM wisc GROUP BY ten",
-			"SELECT four, SUM(unique1) FROM wisc GROUP BY four",
-			"SELECT onePercent, MAX(unique2) FROM wisc WHERE unique1 < 3000 GROUP BY onePercent",
+		for _, c := range []aggCase{
+			{group: "ten", fn: "COUNT"},
+			{group: "four", fn: "SUM", col: "unique1"},
+			{group: "onePercent", fn: "MAX", col: "unique2", filtered: true},
 		} {
-			plan, db := wisconsinPlan(t, sql, partKey, 4000, 8)
-			run := func(bg int, noVec bool) (*relation.Relation, map[int][3]int64) {
-				res, err := Execute(plan, db, Options{Threads: 4, BatchGrain: bg, NoVectorize: noVec})
+			sql := c.sql()
+			want := c.eval(card)
+			if want.Cardinality() == 0 {
+				t.Fatalf("sql=%q: empty reference result", sql)
+			}
+			plan, db := wisconsinPlan(t, sql, partKey, card, 8)
+			var refStats map[int][3]int64
+			for _, bg := range vectorGrains {
+				res, err := Execute(plan, db, Options{Threads: 4, BatchGrain: bg})
 				if err != nil {
 					t.Fatalf("part=%s sql=%q grain=%d: %v", partKey, sql, bg, err)
 				}
-				rel, err := res.Relation(esql.OutputName)
+				got, err := res.Relation(esql.OutputName)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return rel, statsSnapshot(res)
-			}
-			refRel, refStats := run(1, true) // strict per-tuple reference
-			if refRel.Cardinality() == 0 {
-				t.Fatalf("part=%s sql=%q: empty reference result", partKey, sql)
-			}
-			for _, bg := range vectorGrains {
-				gotRel, gotStats := run(bg, false)
-				if !gotRel.EqualMultiset(refRel) {
-					t.Errorf("part=%s sql=%q: vectorized grain %d result differs from per-tuple reference", partKey, sql, bg)
+				if !got.EqualMultiset(want) {
+					t.Errorf("part=%s sql=%q: grain %d result differs from the direct evaluation", partKey, sql, bg)
 				}
-				if !statsEqual(gotStats, refStats) {
-					t.Errorf("part=%s sql=%q: vectorized grain %d accounting %v, per-tuple %v", partKey, sql, bg, gotStats, refStats)
+				gs := statsSnapshot(res)
+				if refStats == nil {
+					refStats = gs
+				} else if !statsEqual(gs, refStats) {
+					t.Errorf("part=%s sql=%q: grain %d accounting %v, grain 1 %v", partKey, sql, bg, gs, refStats)
 				}
 			}
 		}
@@ -365,8 +408,8 @@ type cancelSink struct {
 	cancel context.CancelFunc
 }
 
-func (s *cancelSink) Push(relation.Tuple) error {
-	if s.n.Add(1) == s.after {
+func (s *cancelSink) PushBatch(ts []relation.Tuple) error {
+	if s.n.Add(int64(len(ts))) >= s.after {
 		s.cancel()
 	}
 	return nil

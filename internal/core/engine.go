@@ -30,8 +30,8 @@ type Options struct {
 	// StrategyAuto (default) keeps the scheduler's choice.
 	Strategy StrategyKind
 	// CacheSize is the internal activation cache (batch) size — the upper
-	// bound on one queue drain, and so on the tuple runs the vectorized
-	// OnBatch path sees; default 64.
+	// bound on one queue drain, and so on the tuple runs OnBatch sees;
+	// default 64.
 	CacheSize int
 	// BatchGrain is the producer-side batch size of the pipelined data
 	// plane: each pool thread buffers emitted tuples per destination queue
@@ -43,14 +43,6 @@ type Options struct {
 	// each still arrives as its own activation, so activation counts,
 	// consumption strategies and the skew formula's a are untouched.
 	BatchGrain int
-	// NoVectorize forces the per-tuple operator path: batches popped from
-	// the activation queues are unpacked into individual OnTuple calls even
-	// for operators with a vectorized OnBatch implementation — the paper's
-	// original processing model. Off (the default) lets such operators
-	// process each popped run in one call, vectorized inside. Either way the
-	// observable execution is identical: same activation counts, same
-	// emitted multisets, same per-node OpStats.
-	NoVectorize bool
 	// QueueCap is each activation queue's capacity; default 256.
 	QueueCap int
 	// Seed makes the Random strategy deterministic; default 1.
@@ -118,26 +110,20 @@ type Options struct {
 	// store materializes (the paper's model).
 	StreamOutput string
 	// Sink receives the StreamOutput tuples; required when StreamOutput is
-	// set. Push is called concurrently from pool threads and may block —
-	// bounded-sink backpressure suspends the producing threads. A Push
-	// error aborts the execution.
+	// set. PushBatch is called concurrently from pool threads and may block
+	// — bounded-sink backpressure suspends the producing threads. A
+	// PushBatch error aborts the execution.
 	Sink RowSink
 }
 
 // RowSink consumes the tuples of a streamed store output as the engine
 // produces them (see Options.StreamOutput).
 type RowSink interface {
-	// Push delivers one tuple; must be safe for concurrent use. Returning
-	// an error aborts the execution (the cursor-close path).
-	Push(t relation.Tuple) error
-}
-
-// RowBatchSink is an optional RowSink extension: a sink implementing it
-// receives whole vectorized-path tuple runs in one PushBatch call (one sink
-// synchronization per batch). The slice is engine-owned scratch — consume it
-// before returning; the Tuples inside are immutable and may be retained.
-type RowBatchSink interface {
-	RowSink
+	// PushBatch delivers one run of tuples (one sink synchronization per
+	// run); must be safe for concurrent use. The slice is engine-owned
+	// scratch — consume it before returning; the Tuples inside are
+	// immutable and may be retained. Returning an error aborts the
+	// execution (the cursor-close path).
 	PushBatch(ts []relation.Tuple) error
 }
 
@@ -693,11 +679,7 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 		op = &operator.Aggregate{GroupBy: bn.GroupIdx, Kind: n.Agg, AggCol: bn.AggIdx, Spill: opts.Spill}
 	case lera.OpStore:
 		if n.As == opts.StreamOutput && opts.Sink != nil {
-			sink := &operator.Sink{Push: opts.Sink.Push}
-			if bs, ok := opts.Sink.(RowBatchSink); ok {
-				sink.PushBatch = bs.PushBatch
-			}
-			op = sink
+			op = &operator.Sink{Push: opts.Sink.PushBatch}
 		} else {
 			store = operator.NewStore(degree)
 			store.Spill = opts.Spill
@@ -737,7 +719,6 @@ func buildOperation(plan *lera.Plan, id int, db DB, alloc Allocation, opts Optio
 	}
 
 	o := newOperation(n.Name, id, op, ctxs, opts.QueueCap, alloc.Node[id], opts.CacheSize, alloc.Strategy[id], opts.Seed+int64(id)*7919, plan.Graph.Triggered(id))
-	o.noVectorize = opts.NoVectorize
 
 	// LPT cost estimates per queue.
 	switch {

@@ -18,7 +18,7 @@ type stubOperator struct {
 	tuples      int
 	closes      []int
 	failSetup   error
-	failTuple   error
+	failBatch   error
 	failClose   error
 	emitOnClose bool
 }
@@ -37,11 +37,11 @@ func (s *stubOperator) OnTrigger(ctx *operator.Context, emit operator.Emit) erro
 	return nil
 }
 
-func (s *stubOperator) OnTuple(ctx *operator.Context, t relation.Tuple, emit operator.Emit) error {
+func (s *stubOperator) OnBatch(ctx *operator.Context, ts []relation.Tuple, emit operator.Emit) error {
 	s.mu.Lock()
-	s.tuples++
+	s.tuples += len(ts)
 	s.mu.Unlock()
-	return s.failTuple
+	return s.failBatch
 }
 
 func (s *stubOperator) OnClose(ctx *operator.Context, emit operator.Emit) error {
@@ -156,7 +156,7 @@ func TestOperationOnCloseMayEmit(t *testing.T) {
 }
 
 func TestOperationTupleErrorPropagates(t *testing.T) {
-	stub := &stubOperator{failTuple: errors.New("boom")}
+	stub := &stubOperator{failBatch: errors.New("boom")}
 	o := newTestOperation(stub, 2, 2)
 	runOperation(t, o, func(o *Operation) {
 		for _, q := range o.Queues {
@@ -164,7 +164,7 @@ func TestOperationTupleErrorPropagates(t *testing.T) {
 			q.Close()
 		}
 	})
-	if err := o.Err(); err == nil || !errors.Is(err, stub.failTuple) {
+	if err := o.Err(); err == nil || !errors.Is(err, stub.failBatch) {
 		t.Errorf("Err = %v, want boom", err)
 	}
 }
@@ -198,7 +198,7 @@ func TestOperationCloseErrorPropagates(t *testing.T) {
 
 func TestOperationFirstErrorWins(t *testing.T) {
 	first := errors.New("first")
-	stub := &stubOperator{failTuple: first}
+	stub := &stubOperator{failBatch: first}
 	o := newTestOperation(stub, 2, 1)
 	runOperation(t, o, func(o *Operation) {
 		for _, q := range o.Queues {

@@ -5,7 +5,8 @@ package core
 // enough that the working set exceeds it several times over (forcing
 // multi-pass Grace partitioning and sorted-run merges) must be
 // indistinguishable from the unbounded in-memory run in everything but disk
-// traffic — identical result multisets and identical per-operator
+// traffic — results that pass the independent reference
+// (JoinDB.VerifyJoinResult, aggCase.eval) and identical per-operator
 // activation/emission accounting, at batch grains 1 and 64, under -race.
 // Cancellation mid-spill must leave no temp files and no open descriptors.
 
@@ -28,8 +29,8 @@ import (
 // operator overruns it and degrades to disk.
 const spillBudget = 16 << 10
 
-// spillGrains exercises the per-tuple and vectorized data planes against the
-// spill paths (grace probes buffer per batch; runs flush at page grain).
+// spillGrains exercises one-tuple and multi-tuple runs against the spill
+// paths (grace probes buffer per batch; runs flush at page grain).
 var spillGrains = []int{1, 64}
 
 func totalSpilled(res *Result) (bytes, passes int64) {
@@ -50,8 +51,8 @@ func TestSpillEquivalenceJoins(t *testing.T) {
 	for _, algo := range []lera.JoinAlgo{lera.HashJoin, lera.TempIndex} {
 		for _, assoc := range []bool{false, true} {
 			name := fmt.Sprintf("algo=%v/assoc=%v", algo, assoc)
-			// Unbounded in-memory reference, strict per-tuple protocol.
-			base := Options{Threads: 4, BatchGrain: 1, NoVectorize: true}
+			// Unbounded in-memory reference at grain 1.
+			base := Options{Threads: 4, BatchGrain: 1}
 			ref := executeJoin(t, db, assoc, algo, base)
 			refRel, err := ref.Relation("Res")
 			if err != nil {
@@ -67,7 +68,6 @@ func TestSpillEquivalenceJoins(t *testing.T) {
 			for _, bg := range spillGrains {
 				opts := base
 				opts.BatchGrain = bg
-				opts.NoVectorize = bg == 1 // grain 1 stays per-tuple, 64 vectorizes
 				opts.MemoryBudget = spillBudget
 				opts.SpillDir = t.TempDir()
 				got := executeJoin(t, db, assoc, algo, opts)
@@ -106,58 +106,54 @@ func TestSpillEquivalenceAggregates(t *testing.T) {
 	// High-cardinality groupings so the accumulator tables dwarf the budget;
 	// the low-cardinality one rides along to prove a fitting query is
 	// untouched by the machinery.
+	const card = 4000
 	cases := []struct {
-		sql        string
+		agg        aggCase
 		wantsSpill bool
 	}{
-		{"SELECT unique2, COUNT(*) FROM wisc GROUP BY unique2", true},
-		{"SELECT unique1, SUM(unique2) FROM wisc GROUP BY unique1", true},
-		{"SELECT unique2, MAX(unique1) FROM wisc WHERE unique1 < 3000 GROUP BY unique2", true},
-		{"SELECT ten, COUNT(*) FROM wisc GROUP BY ten", false},
+		{aggCase{group: "unique2", fn: "COUNT"}, true},
+		{aggCase{group: "unique1", fn: "SUM", col: "unique2"}, true},
+		{aggCase{group: "unique2", fn: "MAX", col: "unique1", filtered: true}, true},
+		{aggCase{group: "ten", fn: "COUNT"}, false},
 	}
 	for _, partKey := range []string{"unique2", "four"} {
 		for _, tc := range cases {
-			plan, db := wisconsinPlan(t, tc.sql, partKey, 4000, 8)
-			run := func(budget int64, dir string, bg int, noVec bool) (*Result, map[int][3]int64) {
+			sql := tc.agg.sql()
+			want := tc.agg.eval(card)
+			plan, db := wisconsinPlan(t, sql, partKey, card, 8)
+			run := func(budget int64, dir string, bg int) (*Result, map[int][3]int64) {
 				res, err := Execute(plan, db, Options{
-					Threads: 4, BatchGrain: bg, NoVectorize: noVec,
+					Threads: 4, BatchGrain: bg,
 					MemoryBudget: budget, SpillDir: dir,
 				})
 				if err != nil {
-					t.Fatalf("part=%s sql=%q budget=%d: %v", partKey, tc.sql, budget, err)
+					t.Fatalf("part=%s sql=%q budget=%d: %v", partKey, sql, budget, err)
 				}
-				return res, statsSnapshot(res)
-			}
-			ref, refStats := run(0, "", 1, true)
-			refRel, err := ref.Relation(esql.OutputName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if refRel.Cardinality() == 0 {
-				t.Fatalf("part=%s sql=%q: empty reference result", partKey, tc.sql)
-			}
-			for _, bg := range spillGrains {
-				dir := t.TempDir()
-				got, gotStats := run(spillBudget, dir, bg, bg == 1)
-				gotRel, err := got.Relation(esql.OutputName)
+				rel, err := res.Relation(esql.OutputName)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !gotRel.EqualMultiset(refRel) {
-					t.Errorf("part=%s sql=%q grain=%d: spilled result differs from in-memory reference", partKey, tc.sql, bg)
+				if !rel.EqualMultiset(want) {
+					t.Errorf("part=%s sql=%q budget=%d grain=%d: result differs from the direct evaluation", partKey, sql, budget, bg)
 				}
+				return res, statsSnapshot(res)
+			}
+			_, refStats := run(0, "", 1)
+			for _, bg := range spillGrains {
+				dir := t.TempDir()
+				got, gotStats := run(spillBudget, dir, bg)
 				if !statsEqual(gotStats, refStats) {
-					t.Errorf("part=%s sql=%q grain=%d: spilled accounting %v, in-memory %v", partKey, tc.sql, bg, gotStats, refStats)
+					t.Errorf("part=%s sql=%q grain=%d: spilled accounting %v, in-memory %v", partKey, sql, bg, gotStats, refStats)
 				}
 				bytes, _ := totalSpilled(got)
 				if tc.wantsSpill && bytes == 0 {
-					t.Errorf("part=%s sql=%q grain=%d: budget %d did not force a spill", partKey, tc.sql, bg, spillBudget)
+					t.Errorf("part=%s sql=%q grain=%d: budget %d did not force a spill", partKey, sql, bg, spillBudget)
 				}
 				if !tc.wantsSpill && bytes != 0 {
-					t.Errorf("part=%s sql=%q grain=%d: fitting query spilled %d bytes", partKey, tc.sql, bg, bytes)
+					t.Errorf("part=%s sql=%q grain=%d: fitting query spilled %d bytes", partKey, sql, bg, bytes)
 				}
 				if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-					t.Errorf("part=%s sql=%q grain=%d: spill dir not clean after completion (%d entries, %v)", partKey, tc.sql, bg, len(ents), err)
+					t.Errorf("part=%s sql=%q grain=%d: spill dir not clean after completion (%d entries, %v)", partKey, sql, bg, len(ents), err)
 				}
 			}
 		}

@@ -18,9 +18,9 @@ type collectSink struct {
 	tuples []relation.Tuple
 }
 
-func (s *collectSink) Push(t relation.Tuple) error {
+func (s *collectSink) PushBatch(ts []relation.Tuple) error {
 	s.mu.Lock()
-	s.tuples = append(s.tuples, t)
+	s.tuples = append(s.tuples, ts...)
 	s.mu.Unlock()
 	return nil
 }
@@ -149,13 +149,15 @@ type blockingSink struct {
 	ch  chan relation.Tuple
 }
 
-func (s *blockingSink) Push(t relation.Tuple) error {
-	select {
-	case s.ch <- t:
-		return nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
+func (s *blockingSink) PushBatch(ts []relation.Tuple) error {
+	for _, t := range ts {
+		select {
+		case s.ch <- t:
+		case <-s.ctx.Done():
+			return s.ctx.Err()
+		}
 	}
+	return nil
 }
 
 // TestStreamBackpressureCancel: a producer blocked on a full sink is

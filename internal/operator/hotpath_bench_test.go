@@ -4,7 +4,9 @@ package operator
 // The *StringKey benchmarks freeze the pre-change probe path — projected
 // tuple + canonical string per probed/grouped tuple — as the measuring
 // stick for the allocs/op reduction archived in BENCH_core.json; they are
-// baselines, not live code.
+// baselines, not live code. The live side measures one tuple per
+// operation: the join benches call the scalar probe (the triggered and
+// nested-loop path), the aggregate bench feeds OnBatch one-tuple runs.
 
 import (
 	"fmt"
@@ -39,9 +41,7 @@ func benchmarkJoinProbe(b *testing.B, algo lera.JoinAlgo) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := j.OnTuple(ctx, probes[i%len(probes)], emit); err != nil {
-			b.Fatal(err)
-		}
+		j.probe(ctx, probes[i%len(probes)], emit)
 	}
 	if matched == 0 {
 		b.Fatal("probe never matched")
@@ -94,7 +94,8 @@ func BenchmarkAggregateTupleHashKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.OnTuple(ctx, tuples[i%len(tuples)], nil); err != nil {
+		k := i % len(tuples)
+		if err := a.OnBatch(ctx, tuples[k:k+1], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,10 @@
 // Package operator implements the sequential relational operators that
 // Lera-par nodes execute. Each operator processes *activations* — a trigger
-// (process my bound fragment) or a tuple (process one pipelined tuple) — and
-// emits result tuples downstream. The execution engine (package core) owns
-// queues, threads and routing; operators only see their instance context and
-// an emit callback, which is what makes any pool thread able to execute any
-// instance's activation (§3).
+// (process my bound fragment) or a run of pipelined tuples, each tuple one
+// activation — and emits result tuples downstream. The execution engine
+// (package core) owns queues, threads and routing; operators only see their
+// instance context and an emit callback, which is what makes any pool thread
+// able to execute any instance's activation (§3).
 package operator
 
 import (
@@ -47,32 +47,20 @@ type Operator interface {
 	Setup(ctx *Context) error
 	// OnTrigger processes a control activation (triggered operations).
 	OnTrigger(ctx *Context, emit Emit) error
-	// OnTuple processes one pipelined tuple (pipelined operations).
-	OnTuple(ctx *Context, t relation.Tuple, emit Emit) error
+	// OnBatch processes a run of pipelined tuple activations (pipelined
+	// operations): the run a pool thread drained from one instance's queue,
+	// bounded by the internal cache size. A run of one tuple is the paper's
+	// per-tuple activation. Implementations may vectorize — selection
+	// vectors, one key-hash pass, one lock epoch — but emit may block on
+	// backpressure, an error stops the run (tuples before the failure may
+	// already have emitted), and the tuples slice is worker-owned scratch
+	// that must not be retained after return (the Tuples inside it are
+	// immutable and may be kept).
+	OnBatch(ctx *Context, tuples []relation.Tuple, emit Emit) error
 	// OnClose runs after the instance's last activation completed (the
 	// engine guarantees exactly-once, after-everything ordering). Operators
 	// with buffered state (aggregates) emit it here.
 	OnClose(ctx *Context, emit Emit) error
-}
-
-// BatchOperator is an optional extension of Operator: the engine hands
-// operators implementing it whole runs of pipelined tuple activations in one
-// call (bounded by the internal cache size), instead of unpacking the batch
-// into per-tuple OnTuple calls. Implementations process the batch
-// vectorized — selection vectors, one key-hash pass, one lock epoch — but
-// must stay observably equivalent to the per-tuple path: same emitted
-// multiset, same emission semantics (emit may block on backpressure), and no
-// retention of the tuples slice after return (it is worker-owned scratch;
-// the Tuples inside it are immutable and may be kept).
-//
-// Operators that do not implement BatchOperator keep working unchanged: the
-// engine falls back to the per-tuple OnTuple loop.
-type BatchOperator interface {
-	Operator
-	// OnBatch processes a run of pipelined tuples. Equivalent to calling
-	// OnTuple for each tuple in order; an error stops the batch (tuples
-	// before the failure may already have emitted).
-	OnBatch(ctx *Context, tuples []relation.Tuple, emit Emit) error
 }
 
 // batchScratch holds the per-batch working buffers of vectorized operators
@@ -148,19 +136,11 @@ func (f *Filter) OnTrigger(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnTuple implements Operator: a pipelined filter applies the predicate to
-// the redistributed stream (used for residual predicates after joins).
-func (f *Filter) OnTuple(_ *Context, t relation.Tuple, emit Emit) error {
-	if f.Pred.Eval(t) {
-		emit(t)
-	}
-	return nil
-}
-
-// OnBatch implements BatchOperator: the predicate is evaluated over the
-// whole batch into a selection vector (column index and comparison hoisted
-// out of the loop, conjunctions narrowing progressively), then only the
-// survivors are emitted.
+// OnBatch implements Operator: a pipelined filter applies the predicate to
+// the redistributed stream (residual predicates after joins), evaluated over
+// the whole batch into a selection vector (column index and comparison
+// hoisted out of the loop, conjunctions narrowing progressively), then only
+// the survivors are emitted.
 func (f *Filter) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	sc := scratchPool.Get().(*batchScratch)
 	sel := lera.EvalBatch(f.Pred, ts, sc.sel)
@@ -188,13 +168,7 @@ func (tr *Transmit) OnTrigger(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnTuple implements Operator.
-func (tr *Transmit) OnTuple(_ *Context, t relation.Tuple, emit Emit) error {
-	emit(t)
-	return nil
-}
-
-// OnBatch implements BatchOperator.
+// OnBatch implements Operator.
 func (tr *Transmit) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	for _, t := range ts {
 		emit(t)
@@ -212,13 +186,7 @@ type Map struct {
 // OnTrigger implements Operator.
 func (m *Map) OnTrigger(*Context, Emit) error { return errNoTrigger("map") }
 
-// OnTuple implements Operator.
-func (m *Map) OnTuple(_ *Context, t relation.Tuple, emit Emit) error {
-	emit(t.Project(m.Cols))
-	return nil
-}
-
-// OnBatch implements BatchOperator.
+// OnBatch implements Operator.
 func (m *Map) OnBatch(_ *Context, ts []relation.Tuple, emit Emit) error {
 	for _, t := range ts {
 		emit(t.Project(m.Cols))
@@ -257,16 +225,7 @@ func NewStore(degree int) *Store {
 // OnTrigger implements Operator.
 func (s *Store) OnTrigger(*Context, Emit) error { return errNoTrigger("store") }
 
-// OnTuple implements Operator.
-func (s *Store) OnTuple(ctx *Context, t relation.Tuple, _ Emit) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i := ctx.Instance
-	s.results[i] = append(s.results[i], t)
-	return s.chargeLocked(i, storage.TupleFootprint(t))
-}
-
-// OnBatch implements BatchOperator: one lock acquire appends the whole run
+// OnBatch implements Operator: one lock acquire appends the whole run
 // (the batch slice is scratch; the appended Tuples are immutable and safely
 // retained).
 func (s *Store) OnBatch(ctx *Context, ts []relation.Tuple, _ Emit) error {
@@ -339,44 +298,28 @@ func (s *Store) Results() ([][]relation.Tuple, error) {
 	return out, nil
 }
 
-// Sink terminates a pipeline chain like Store, but hands each tuple to an
-// external consumer as it arrives instead of accumulating fragments — the
-// engine-side half of a streaming row cursor. Push may block (bounded-buffer
-// backpressure propagates into the producing pool threads) and its error
-// aborts the operation, which is how closing a cursor mid-result unwinds the
-// execution.
+// Sink terminates a pipeline chain like Store, but hands each run of tuples
+// to an external consumer as it arrives instead of accumulating fragments —
+// the engine-side half of a streaming row cursor. Push may block
+// (bounded-buffer backpressure propagates into the producing pool threads)
+// and its error aborts the operation, which is how closing a cursor
+// mid-result unwinds the execution.
 type Sink struct {
 	nopSetup
 	nopClose
-	// Push delivers one result tuple; it must be safe for concurrent calls
-	// (any pool thread can execute any instance's activation).
-	Push func(t relation.Tuple) error
-	// PushBatch, when set, delivers a whole run of tuples in one call (one
-	// sink synchronization per batch instead of per tuple). Same contract as
-	// Push plus BatchOperator's: the slice is scratch and must not be
-	// retained after return.
-	PushBatch func(ts []relation.Tuple) error
+	// Push delivers a run of result tuples (one sink synchronization per
+	// run); it must be safe for concurrent calls (any pool thread can
+	// execute any instance's activation). The slice is scratch and must not
+	// be retained after return, as for OnBatch.
+	Push func(ts []relation.Tuple) error
 }
 
 // OnTrigger implements Operator.
 func (s *Sink) OnTrigger(*Context, Emit) error { return errNoTrigger("sink") }
 
-// OnTuple implements Operator.
-func (s *Sink) OnTuple(_ *Context, t relation.Tuple, _ Emit) error {
-	return s.Push(t)
-}
-
-// OnBatch implements BatchOperator.
+// OnBatch implements Operator.
 func (s *Sink) OnBatch(_ *Context, ts []relation.Tuple, _ Emit) error {
-	if s.PushBatch != nil {
-		return s.PushBatch(ts)
-	}
-	for _, t := range ts {
-		if err := s.Push(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Push(ts)
 }
 
 // Join and group-by keys are 64-bit hashes computed directly over the key
@@ -536,7 +479,8 @@ func (j *Join) buildState(ctx *Context) error {
 	return nil
 }
 
-// probe emits build⨝probe concatenations for one probe tuple.
+// probe emits build⨝probe concatenations for one probe tuple: the scalar
+// probe of triggered joins and of nested-loop runs.
 func (j *Join) probe(ctx *Context, t relation.Tuple, emit Emit) {
 	switch j.Algo {
 	case lera.NestedLoop:
@@ -589,16 +533,6 @@ func (j *Join) OnTrigger(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnTuple implements Operator: the pipelined join probes one redistributed
-// tuple (a fine-grain unit of work).
-func (j *Join) OnTuple(ctx *Context, t relation.Tuple, emit Emit) error {
-	if g, ok := ctx.State.(*graceState); ok {
-		return g.addProbe(j, t)
-	}
-	j.probe(ctx, t, emit)
-	return nil
-}
-
 // OnClose implements Operator: an instance that went to disk joins its
 // partition pairs here, after the last probe activation.
 func (j *Join) OnClose(ctx *Context, emit Emit) error {
@@ -608,11 +542,12 @@ func (j *Join) OnClose(ctx *Context, emit Emit) error {
 	return nil
 }
 
-// OnBatch implements BatchOperator: the whole probe run is key-hashed in one
-// pass (one bounds-checked loop over the key columns, no per-call overhead
-// interleaved with probing), then probed against the build structure hash-
-// first. Nested loop has no key structure to amortize; it scans per tuple
-// exactly like the per-tuple path.
+// OnBatch implements Operator: the pipelined join probes a run of
+// redistributed tuples, each a fine-grain unit of work. The whole run is
+// key-hashed in one pass (one bounds-checked loop over the key columns, no
+// per-call overhead interleaved with probing), then probed against the build
+// structure hash-first. Nested loop has no key structure to amortize; it
+// scans the build fragment per tuple.
 func (j *Join) OnBatch(ctx *Context, ts []relation.Tuple, emit Emit) error {
 	if g, ok := ctx.State.(*graceState); ok {
 		return g.addProbeBatch(j, ts)
@@ -710,22 +645,12 @@ func (a *Aggregate) Setup(ctx *Context) error {
 // OnTrigger implements Operator.
 func (a *Aggregate) OnTrigger(*Context, Emit) error { return errNoTrigger("aggregate") }
 
-// OnTuple implements Operator.
-func (a *Aggregate) OnTuple(ctx *Context, t relation.Tuple, _ Emit) error {
-	// Group lookup by key-column hash with chained collision buckets: the
-	// per-tuple fast path hashes in place and allocates nothing; only a
-	// group's first tuple materializes the group key (Project).
-	key := hashKey(t, a.GroupBy)
-	ctx.Mu.Lock()
-	defer ctx.Mu.Unlock()
-	return a.accumulateLocked(ctx.State.(*aggInst), key, t)
-}
-
-// OnBatch implements BatchOperator: the whole run is group-hashed outside
-// the instance lock, then accumulated under a single lock epoch — one
-// acquire per batch where the per-tuple path pays one per tuple, which is
-// the contention the execution model's any-thread-any-instance rule creates
-// on aggregates.
+// OnBatch implements Operator: the whole run is group-hashed outside the
+// instance lock, then accumulated under a single lock epoch — one acquire
+// per run, not per tuple, against the contention the execution model's
+// any-thread-any-instance rule creates on aggregates. Group lookup is by
+// key-column hash with chained collision buckets: nothing is allocated per
+// tuple; only a group's first tuple materializes the group key (Project).
 func (a *Aggregate) OnBatch(ctx *Context, ts []relation.Tuple, _ Emit) error {
 	sc := scratchPool.Get().(*batchScratch)
 	keys := hashKeys(ts, a.GroupBy, sc.keys[:0])

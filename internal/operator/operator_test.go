@@ -22,6 +22,51 @@ func collect() (Emit, *[]relation.Tuple) {
 	return func(t relation.Tuple) { out = append(out, t) }, &out
 }
 
+// runPipelined drives op through Setup, OnBatch and OnClose over ts — fed
+// as one-tuple runs (the paper's per-tuple activation) when split is set,
+// else as one multi-tuple run — and returns everything it emitted.
+func runPipelined(t *testing.T, op Operator, ctx *Context, ts []relation.Tuple, split bool) []relation.Tuple {
+	t.Helper()
+	if err := op.Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	emit, out := collect()
+	if split {
+		for i := range ts {
+			if err := op.OnBatch(ctx, ts[i:i+1], emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	} else if err := op.OnBatch(ctx, ts, emit); err != nil {
+		t.Fatal(err)
+	}
+	if err := op.OnClose(ctx, emit); err != nil {
+		t.Fatal(err)
+	}
+	return *out
+}
+
+// bothRuns runs a fresh operator from mk both ways — one-tuple runs and one
+// multi-tuple run — fails unless the emitted multisets agree, and returns
+// the multi-tuple run's output.
+func bothRuns(t *testing.T, mk func() (Operator, *Context), ts []relation.Tuple) []relation.Tuple {
+	t.Helper()
+	op, ctx := mk()
+	single := runPipelined(t, op, ctx, ts, true)
+	op, ctx = mk()
+	multi := runPipelined(t, op, ctx, ts, false)
+	if !asRelation(single).EqualMultiset(asRelation(multi)) {
+		t.Errorf("one-tuple runs emitted %v, one multi-tuple run emitted %v", single, multi)
+	}
+	return multi
+}
+
+func asRelation(ts []relation.Tuple) *relation.Relation {
+	r := relation.New("r", nil)
+	r.Tuples = ts
+	return r
+}
+
 func TestFilterOnTrigger(t *testing.T) {
 	pred, err := (lera.ColConst{Col: "k", Op: lera.GE, Val: relation.Int(2)}).Bind(kvSchema)
 	if err != nil {
@@ -49,12 +94,10 @@ func TestFilterPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &Filter{Pred: pred}
-	emit, out := collect()
-	f.OnTuple(&Context{}, kv(1, "a"), emit)
-	f.OnTuple(&Context{}, kv(5, "b"), emit)
-	if len(*out) != 1 || (*out)[0][0].AsInt() != 1 {
-		t.Errorf("pipelined filter output = %v", *out)
+	mk := func() (Operator, *Context) { return &Filter{Pred: pred}, &Context{} }
+	out := bothRuns(t, mk, []relation.Tuple{kv(1, "a"), kv(5, "b"), kv(0, "c")})
+	if len(out) != 2 || out[0][0].AsInt() != 1 || out[1][0].AsInt() != 0 {
+		t.Errorf("pipelined filter output = %v", out)
 	}
 }
 
@@ -66,19 +109,20 @@ func TestTransmitBothModes(t *testing.T) {
 	if len(*out) != 2 {
 		t.Errorf("triggered transmit emitted %d", len(*out))
 	}
-	tr.OnTuple(ctx, kv(3, "c"), emit)
-	if len(*out) != 3 {
-		t.Errorf("pipelined transmit emitted %d", len(*out))
+	mk := func() (Operator, *Context) { return &Transmit{}, &Context{} }
+	if out := bothRuns(t, mk, []relation.Tuple{kv(3, "c"), kv(4, "d")}); len(out) != 2 {
+		t.Errorf("pipelined transmit emitted %d", len(out))
 	}
 }
 
 func TestMapProjects(t *testing.T) {
-	m := &Map{Cols: []int{1}}
-	emit, out := collect()
-	m.OnTuple(&Context{}, kv(5, "x"), emit)
-	if len(*out) != 1 || len((*out)[0]) != 1 || (*out)[0][0].AsString() != "x" {
-		t.Errorf("map output = %v", *out)
+	mk := func() (Operator, *Context) { return &Map{Cols: []int{1}}, &Context{} }
+	out := bothRuns(t, mk, []relation.Tuple{kv(5, "x"), kv(6, "y")})
+	if len(out) != 2 || len(out[0]) != 1 || out[0][0].AsString() != "x" {
+		t.Errorf("map output = %v", out)
 	}
+	m := &Map{Cols: []int{1}}
+	emit, _ := collect()
 	defer func() {
 		if recover() == nil {
 			t.Error("map OnTrigger should panic")
@@ -88,24 +132,60 @@ func TestMapProjects(t *testing.T) {
 }
 
 func TestStoreAccumulatesPerInstance(t *testing.T) {
-	s := NewStore(3)
 	emit := func(relation.Tuple) { t.Error("store must not emit") }
-	s.OnTuple(&Context{Instance: 1}, kv(1, "a"), emit)
-	s.OnTuple(&Context{Instance: 1}, kv(2, "b"), emit)
-	s.OnTuple(&Context{Instance: 2}, kv(3, "c"), emit)
-	res, err := s.Results()
-	if err != nil {
-		t.Fatal(err)
+	feed := map[int][]relation.Tuple{1: {kv(1, "a"), kv(2, "b")}, 2: {kv(3, "c")}}
+	var stored [2][][]relation.Tuple
+	for i, split := range []bool{true, false} {
+		s := NewStore(3)
+		for inst, ts := range feed {
+			if out := runPipelined(t, s, &Context{Instance: inst}, ts, split); len(out) != 0 {
+				t.Errorf("store emitted %v", out)
+			}
+		}
+		res, err := s.Results()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res[0]) != 0 || len(res[1]) != 2 || len(res[2]) != 1 {
+			t.Errorf("split=%v: results = %v", split, res)
+		}
+		stored[i] = res
 	}
-	if len(res[0]) != 0 || len(res[1]) != 2 || len(res[2]) != 1 {
-		t.Errorf("results = %v", res)
+	for inst := range stored[0] {
+		if !asRelation(stored[0][inst]).EqualMultiset(asRelation(stored[1][inst])) {
+			t.Errorf("instance %d: one-tuple runs stored %v, one run stored %v", inst, stored[0][inst], stored[1][inst])
+		}
 	}
+	s := NewStore(3)
 	defer func() {
 		if recover() == nil {
 			t.Error("store OnTrigger should panic")
 		}
 	}()
 	s.OnTrigger(&Context{}, emit)
+}
+
+func TestSinkPushesRuns(t *testing.T) {
+	in := []relation.Tuple{kv(1, "a"), kv(2, "b"), kv(3, "c")}
+	for _, split := range []bool{true, false} {
+		var pushes int
+		var got []relation.Tuple
+		sink := &Sink{Push: func(ts []relation.Tuple) error {
+			pushes++
+			got = append(got, ts...) // copy out: the run is scratch
+			return nil
+		}}
+		if out := runPipelined(t, sink, &Context{}, in, split); len(out) != 0 {
+			t.Errorf("sink emitted %v", out)
+		}
+		wantPushes := 1
+		if split {
+			wantPushes = len(in)
+		}
+		if pushes != wantPushes || !asRelation(got).EqualMultiset(asRelation(in)) {
+			t.Errorf("split=%v: %d pushes delivered %v, want %d pushes of %v", split, pushes, got, wantPushes, in)
+		}
+	}
 }
 
 func joinFixture() *Context {
@@ -117,24 +197,22 @@ func joinFixture() *Context {
 
 func runJoin(t *testing.T, algo lera.JoinAlgo, pipelined bool) []relation.Tuple {
 	t.Helper()
+	if pipelined {
+		probes := joinFixture().Probe
+		return bothRuns(t, func() (Operator, *Context) {
+			ctx := joinFixture()
+			ctx.Probe = nil
+			return &Join{Algo: algo, BuildKey: []int{0}, ProbeKey: []int{0}}, ctx
+		}, probes)
+	}
 	j := &Join{Algo: algo, BuildKey: []int{0}, ProbeKey: []int{0}}
 	ctx := joinFixture()
 	if err := j.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
 	emit, out := collect()
-	if pipelined {
-		probes := ctx.Probe
-		ctx.Probe = nil
-		for _, p := range probes {
-			if err := j.OnTuple(ctx, p, emit); err != nil {
-				t.Fatal(err)
-			}
-		}
-	} else {
-		if err := j.OnTrigger(ctx, emit); err != nil {
-			t.Fatal(err)
-		}
+	if err := j.OnTrigger(ctx, emit); err != nil {
+		t.Fatal(err)
 	}
 	return *out
 }
@@ -211,22 +289,25 @@ func TestAggregateCount(t *testing.T) {
 	ctx := &Context{}
 	a.Setup(ctx)
 	emit, out := collect()
-	for _, tup := range []relation.Tuple{kv(1, "x"), kv(2, "x"), kv(3, "y")} {
-		a.OnTuple(ctx, tup, emit)
+	if err := a.OnBatch(ctx, []relation.Tuple{kv(1, "x"), kv(2, "x"), kv(3, "y")}, emit); err != nil {
+		t.Fatal(err)
 	}
 	if len(*out) != 0 {
 		t.Fatal("aggregate must not emit before close")
 	}
-	a.OnClose(ctx, emit)
-	if len(*out) != 2 {
-		t.Fatalf("groups = %v", *out)
+	mk := func() (Operator, *Context) {
+		return &Aggregate{GroupBy: []int{1}, Kind: lera.AggCount, AggCol: -1}, &Context{}
+	}
+	got := bothRuns(t, mk, []relation.Tuple{kv(1, "x"), kv(2, "x"), kv(3, "y")})
+	if len(got) != 2 {
+		t.Fatalf("groups = %v", got)
 	}
 	// Sorted by group key: "x" before "y".
-	if (*out)[0][0].AsString() != "x" || (*out)[0][1].AsInt() != 2 {
-		t.Errorf("group x = %v", (*out)[0])
+	if got[0][0].AsString() != "x" || got[0][1].AsInt() != 2 {
+		t.Errorf("group x = %v", got[0])
 	}
-	if (*out)[1][0].AsString() != "y" || (*out)[1][1].AsInt() != 1 {
-		t.Errorf("group y = %v", (*out)[1])
+	if got[1][0].AsString() != "y" || got[1][1].AsInt() != 1 {
+		t.Errorf("group y = %v", got[1])
 	}
 }
 
@@ -237,16 +318,11 @@ func TestAggregateSumMinMax(t *testing.T) {
 		want int64
 	}{{lera.AggSum, 16}, {lera.AggMin, 2}, {lera.AggMax, 9}}
 	for _, c := range cases {
-		a := &Aggregate{GroupBy: []int{1}, Kind: c.kind, AggCol: 0}
-		ctx := &Context{}
-		a.Setup(ctx)
-		emit, out := collect()
-		for _, tup := range tuples {
-			a.OnTuple(ctx, tup, emit)
+		mk := func() (Operator, *Context) {
+			return &Aggregate{GroupBy: []int{1}, Kind: c.kind, AggCol: 0}, &Context{}
 		}
-		a.OnClose(ctx, emit)
-		if len(*out) != 1 || (*out)[0][1].AsInt() != c.want {
-			t.Errorf("%v = %v, want %d", c.kind, *out, c.want)
+		if out := bothRuns(t, mk, tuples); len(out) != 1 || out[0][1].AsInt() != c.want {
+			t.Errorf("%v = %v, want %d", c.kind, out, c.want)
 		}
 	}
 }

@@ -122,13 +122,6 @@ func (j *Join) newGraceState(build []relation.Tuple, salt uint64) (*graceState, 
 	return g, nil
 }
 
-// addProbe routes one probe tuple to its partition.
-func (g *graceState) addProbe(j *Join, t relation.Tuple) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.addProbeLocked(j, t)
-}
-
 // addProbeBatch routes a run of probe tuples under one lock epoch.
 func (g *graceState) addProbeBatch(j *Join, ts []relation.Tuple) error {
 	g.mu.Lock()

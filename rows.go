@@ -288,29 +288,18 @@ func FormatStats(rowCount, threads int, chainThreads []int, ops []OperatorStats)
 }
 
 // rowSink adapts the engine's tuple stream to the cursor channel, converting
-// tuples to plain Go values on the producing pool threads. Push blocks on
-// the bounded channel — backpressure — and unblocks when the query context
-// is cancelled, which is what lets Close abort a query whose consumer
-// stopped reading.
+// tuples to plain Go values on the producing pool threads. PushBatch blocks
+// on the bounded channel — backpressure — and unblocks when the query
+// context is cancelled, which is what lets Close abort a query whose
+// consumer stopped reading.
 type rowSink struct {
 	ctx context.Context
 	ch  chan<- []any
 }
 
-func (s *rowSink) Push(t relation.Tuple) error {
-	select {
-	case s.ch <- rowOf(t):
-		return nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	}
-}
-
-// PushBatch implements core.RowBatchSink: the vectorized store path delivers
-// whole tuple runs here. Conversion happens before any channel send, so the
-// producing pool thread does its allocation work outside the backpressure
-// wait; each row still travels the bounded channel individually, keeping the
-// cursor's first-row latency and Close-abort semantics unchanged.
+// PushBatch implements core.RowSink: the store path delivers whole tuple
+// runs here. Each row travels the bounded channel individually, keeping the
+// cursor's first-row latency and Close-abort semantics per row.
 func (s *rowSink) PushBatch(ts []relation.Tuple) error {
 	for _, t := range ts {
 		select {

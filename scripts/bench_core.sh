@@ -4,12 +4,12 @@
 #
 # Three benchmark families feed the artifact:
 #   - CoreHotPath* (package dbs3): the whole pipelined-join and aggregate
-#     pipelines, vectorized (default grain) vs batch grain 1 with
-#     vectorization off — the ns/op comparison of the batched data plane
-#     against the per-tuple protocol.
+#     pipelines at the default batch grain vs batch grain 1 — the ns/op
+#     comparison of the batched data plane against the per-tuple protocol.
 #   - JoinProbe*/AggregateTuple* (internal/operator): the probe/group hot
-#     path per tuple, hash-keyed (current) vs the frozen string-key
-#     baseline — the allocs/op comparison for the key representation.
+#     path per tuple (the scalar join probe, OnBatch over one-tuple runs),
+#     hash-keyed (current) vs the frozen string-key baseline — the
+#     allocs/op comparison for the key representation.
 #   - ServeWideRow* (internal/server): a 13-integer-column result streamed
 #     through the full HTTP stack, NDJSON vs binary columnar — the
 #     bytes-per-row comparison for the wire encodings.
@@ -17,7 +17,7 @@
 # The script FAILS (CI gate) when:
 #   - allocs/op of BenchmarkCoreHotPathPipelinedJoinBatched regresses above
 #     the committed baseline MAX_PIPELINED_JOIN_ALLOCS,
-#   - the vectorized pipelined join is not at least MIN_JOIN_SPEEDUP faster
+#   - the batched pipelined join is not at least MIN_JOIN_SPEEDUP faster
 #     than the grain-1 per-tuple protocol (both variants exclude GC from
 #     timed sections, so the ratio is stable enough to gate on),
 #   - the hash-keyed probe path stops allocating >= 50% less than the
@@ -25,6 +25,11 @@
 #   - the columnar wire encoding stops being >= MIN_WIRE_BYTES_REDUCTION
 #     denser than NDJSON on the wide-row serve benchmark (bytes/row is
 #     deterministic for a fixed dataset).
+#
+# The speedup is a ratio between two runs on the same machine, but it still
+# depends on the machine's parallelism (both pipelines run 4 threads), so
+# the artifact records GOMAXPROCS and the CPU count under "machine": read a
+# speedup only next to the core count it was measured at.
 #
 # Usage: ./scripts/bench_core.sh [pipeline-benchtime] [micro-benchtime] [out.json]
 set -euo pipefail
@@ -36,7 +41,7 @@ cd "$(dirname "$0")/.."
 # while still catching any per-tuple allocation creeping back into the
 # probe or routing path (each one adds 40k+ allocs to this benchmark).
 MAX_PIPELINED_JOIN_ALLOCS=700
-# The vectorized OnBatch path must hold at least a 2x speedup over the
+# The batched data plane must hold at least a 2x speedup over the
 # per-tuple grain-1 protocol on the pipelined-join pipeline.
 MIN_JOIN_SPEEDUP=2.0
 # The columnar encoding must stay at least 3x denser than NDJSON on the
@@ -47,7 +52,22 @@ PIPE_BENCHTIME="${1:-30x}"
 MICRO_BENCHTIME="${2:-100000x}"
 OUT="${3:-BENCH_core.json}"
 RAW="$(mktemp)"
-trap 'rm -f "$RAW"' EXIT
+MACHINE_DIR="$(mktemp -d)"
+trap 'rm -rf "$RAW" "$MACHINE_DIR"' EXIT
+
+# The parallelism the benchmarks see: GOMAXPROCS and runtime.NumCPU as the
+# Go runtime reports them under this environment.
+cat > "$MACHINE_DIR/machine.go" <<'GO'
+package main
+
+import (
+	"fmt"
+	"runtime"
+)
+
+func main() { fmt.Println(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
+GO
+read -r GOMAXPROCS_N NUM_CPU_N < <(go run "$MACHINE_DIR/machine.go")
 
 go test -run '^$' -bench 'CoreHotPath' \
   -benchmem -benchtime "$PIPE_BENCHTIME" -count 1 . | tee "$RAW"
@@ -57,7 +77,7 @@ go test -run '^$' -bench 'ServeWideRow' \
   -benchmem -benchtime "$PIPE_BENCHTIME" -count 1 ./internal/server/ | tee -a "$RAW"
 
 # Fold benchmark lines into JSON and compute the summary ratios the
-# acceptance criteria read: vectorized-vs-grain-1 speedups, the probe-path
+# acceptance criteria read: batched-vs-grain-1 speedups, the probe-path
 # allocs reduction vs the string-key baseline, and the NDJSON-vs-columnar
 # bytes-per-row reduction.
 awk '
@@ -101,6 +121,7 @@ awk '
     printf "    \"wide_row_bytes_reduction\": %.3f\n", wn / wc
     printf "  },\n"
     printf "  \"baseline\": {\"max_pipelined_join_allocs_per_op\": %d, \"min_join_speedup\": %.1f, \"min_wire_bytes_reduction\": %.1f},\n", maxallocs, minspeedup, minwire
+    printf "  \"machine\": {\"gomaxprocs\": %d, \"num_cpu\": %d},\n", gomaxprocs, numcpu
     cmd = "date -u +%Y-%m-%dT%H:%M:%SZ"; cmd | getline ts; close(cmd)
     printf "  \"generated\": \"%s\",\n", ts
     printf "  \"benchtime\": {\"pipeline\": \"%s\", \"micro\": \"%s\"}\n", pbt, mbt
@@ -125,7 +146,7 @@ awk '
     }
     exit status
   }
-' maxallocs="$MAX_PIPELINED_JOIN_ALLOCS" minspeedup="$MIN_JOIN_SPEEDUP" minwire="$MIN_WIRE_BYTES_REDUCTION" pbt="$PIPE_BENCHTIME" mbt="$MICRO_BENCHTIME" "$RAW" > "$OUT"
+' gomaxprocs="$GOMAXPROCS_N" numcpu="$NUM_CPU_N" maxallocs="$MAX_PIPELINED_JOIN_ALLOCS" minspeedup="$MIN_JOIN_SPEEDUP" minwire="$MIN_WIRE_BYTES_REDUCTION" pbt="$PIPE_BENCHTIME" mbt="$MICRO_BENCHTIME" "$RAW" > "$OUT"
 
 grep -q '"name":"Benchmark' "$OUT" || { echo "bench_core: no benchmark results captured" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then

@@ -14,6 +14,13 @@ cd "$(dirname "$0")/.."
 STATICCHECK_VERSION=2025.1.1
 GOVULNCHECK_VERSION=v1.1.4
 
+echo "== gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    printf 'gofmt: unformatted files:\n%s\n' "$unformatted"
+    exit 1
+fi
+
 echo "== dbs3lint (repo analyzers: lockio, ctxflow, cancelclass, atomicfield)"
 go run ./cmd/dbs3lint ./...
 

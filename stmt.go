@@ -332,7 +332,6 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Rows, error) {
 		Strategy:     s.strat,
 		TriggerGrain: s.opt.Grain,
 		BatchGrain:   s.opt.BatchGrain,
-		NoVectorize:  s.opt.NoVectorize,
 		Utilization:  s.opt.Utilization,
 		MemoryBudget: s.opt.MemoryBudget,
 		SpillDir:     s.opt.SpillDir,
