@@ -29,11 +29,6 @@ func coordMain(args []string) {
 		wire    = fs.String("wire", "columnar", "worker-link result encoding: columnar, ndjson")
 		poll    = fs.Duration("poll", 2*time.Second, "health/utilization poll interval (negative = off)")
 		timeout = fs.Duration("timeout", 10*time.Second, "per-worker-request header timeout")
-		retries = fs.Int("retries", 3, "connect retries per worker request (negative = off)")
-
-		retryWhole   = fs.Bool("retry-whole-query", false, "restart a query once when a replica dies after rows merged (only if nothing was delivered yet)")
-		brkThreshold = fs.Int("breaker-threshold", 3, "consecutive probe/query failures that open a replica's circuit breaker")
-		brkCooloff   = fs.Duration("breaker-cooloff", 5*time.Second, "how long an open breaker withholds traffic before half-opening")
 	)
 	fs.Parse(args)
 
@@ -54,15 +49,11 @@ func coordMain(args []string) {
 	defer stop()
 
 	coord, err := cluster.New(ctx, cluster.Config{
-		Nodes:            nodeList,
-		Token:            *token,
-		Wire:             *wire,
-		Timeout:          *timeout,
-		Retries:          *retries,
-		PollInterval:     *poll,
-		RetryWholeQuery:  *retryWhole,
-		BreakerThreshold: *brkThreshold,
-		BreakerCooloff:   *brkCooloff,
+		Nodes:        nodeList,
+		Token:        *token,
+		Wire:         *wire,
+		Timeout:      *timeout,
+		PollInterval: *poll,
 	})
 	if err != nil {
 		fatal(err)
@@ -104,6 +95,6 @@ func coordMain(args []string) {
 		httpSrv.Close()
 	}
 	st := coord.Stats()
-	fmt.Printf("dbs3: coordinated %d queries (%d failed, %d failovers, %d whole-query retries, %d statement re-prepares), %d/%d replicas healthy at exit\n",
-		st.Queries, st.Failures, st.Failovers, st.WholeQueryRetries, st.Repreparations, st.Healthy, len(st.Nodes))
+	fmt.Printf("dbs3: coordinated %d queries (%d failed, %d failovers, %d whole-query retries, %d statement re-prepares, %d attempts, %d budgetExhausted), %d/%d replicas healthy at exit\n",
+		st.Queries, st.Failures, st.Failovers, st.WholeQueryRetries, st.Repreparations, st.Attempts, st.BudgetExhausted, st.Healthy, len(st.Nodes))
 }

@@ -96,11 +96,9 @@ func TestChaosReplicatedCluster(t *testing.T) {
 		workerURLs[2][0] + "|" + flapProxy.URL(),
 	}
 	coord, err := New(ctx, Config{
-		Nodes:           nodes,
-		HTTP:            hc,
-		PollInterval:    -1, // the test drives Poll explicitly
-		Retries:         -1, // faults reach the failover machinery, not the wire client
-		RetryWholeQuery: true,
+		Nodes:        nodes,
+		HTTP:         hc,
+		PollInterval: -1, // the test drives Poll explicitly
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,9 +227,10 @@ func TestChaosReplicatedCluster(t *testing.T) {
 	if n := coord.failovers.Load(); n == 0 {
 		t.Error("no failovers recorded across the chaos run")
 	}
-	t.Logf("chaos: %d/%d ok, failovers=%d wholeQueryRetries=%d repreparations=%d failures=%d",
+	t.Logf("chaos: %d/%d ok, failovers=%d wholeQueryRetries=%d repreparations=%d failures=%d attempts=%d budgetExhausted=%d",
 		chaosQueries-failed, chaosQueries, coord.failovers.Load(),
-		coord.wholeQueryRetries.Load(), coord.repreparations.Load(), coord.failures.Load())
+		coord.wholeQueryRetries.Load(), coord.repreparations.Load(), coord.failures.Load(),
+		coord.attempts.Load(), coord.budgetExhausted.Load())
 
 	// Phase 2: deterministic breaker lifecycle on the flapped replica.
 	// Revive it and probe once so its breaker starts closed with a clean

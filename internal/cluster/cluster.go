@@ -20,18 +20,20 @@
 // Fault tolerance: each shard may hold R replicas serving the same shard of
 // the catalog ("addr1|addr2" in Config.Nodes). The coordinator picks one
 // replica per subquery — load-aware, skipping replicas whose circuit
-// breaker is open — and a subquery that fails before its first row is
-// merged is transparently re-issued on the next live replica. A failure
-// after rows merged restarts the whole query once when Config.
-// RetryWholeQuery is set and nothing was delivered to the consumer yet;
-// otherwise it keeps first-error-wins: the coordinator surfaces one error,
-// cancels the sibling streams (each worker sees its client disconnect,
-// aborts the query, and returns the threads to its local budget), and
-// releases every coordinator-side resource. The health poll feeds each
-// replica's breaker, so dead replicas stop receiving scatter traffic and
-// rejoin automatically once they answer probes again. See DESIGN.md
-// "Fault tolerance in the cluster tier" for the full failure-semantics
-// table.
+// breaker is open — and reacts to a replica fault with one attempt policy
+// (attempts.go): every client request may make two coordinator→worker
+// requests per configured replica, summed over the cluster. A subquery that
+// fails before its first row is merged is re-issued on the next replica,
+// in passes over the shard with a jittered pause between them; a fault
+// after rows merged re-runs the whole scatter if nothing was delivered to
+// the consumer yet. When the budget runs out the request fails with one
+// ShardError carrying the last replica's fault: the coordinator cancels the
+// sibling streams (each worker sees its client disconnect, aborts the
+// query, and returns the threads to its local budget) and releases every
+// coordinator-side resource. The health poll feeds each replica's breaker,
+// so dead replicas stop receiving scatter traffic and rejoin automatically
+// once they answer probes again. See DESIGN.md "Fault tolerance in the
+// cluster tier" for the full failure-semantics table.
 package cluster
 
 import (
@@ -52,9 +54,6 @@ const (
 	// defaultTimeout bounds each coordinator→worker request's connect-and-
 	// respond phase (streamed bodies are unbounded; see server.Client).
 	defaultTimeout = 10 * time.Second
-	// defaultRetries re-sends a fan-out request after transient connect
-	// errors, covering workers that are still binding their listener.
-	defaultRetries = 3
 	// defaultPollInterval is the cadence of the health/utilization exchange.
 	defaultPollInterval = 2 * time.Second
 	// defaultBreakerThreshold opens a replica's breaker after this many
@@ -84,33 +83,24 @@ type Config struct {
 	Wire string
 	// Timeout bounds each worker request's header phase (0 = 10s).
 	Timeout time.Duration
-	// Retries bounds connect retries per worker request (0 = 3; negative
-	// disables).
-	Retries int
 	// PollInterval is the health/utilization exchange cadence (0 = 2s;
 	// negative disables the background poller — Poll can still be called
 	// explicitly).
 	PollInterval time.Duration
-	// RetryWholeQuery restarts a query once from the coordinator when a
-	// replica fails after rows were already merged — provided nothing was
-	// delivered to the consumer yet. Off, such failures keep
-	// first-error-wins.
-	RetryWholeQuery bool
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// replica's circuit breaker (0 = 3).
-	BreakerThreshold int
-	// BreakerCooloff is how long an open breaker withholds traffic before
-	// half-opening (0 = 5s).
-	BreakerCooloff time.Duration
 }
 
 // Coordinator fans queries out over a fixed registry of worker shards and
 // merges their result streams. It is safe for concurrent use; create one
 // per cluster and Close it to stop the background poller.
 type Coordinator struct {
-	shards     []*shard
-	token      string
-	retryWhole bool
+	shards []*shard
+	token  string
+	// budget is every client request's attempt budget: attemptsPerReplica
+	// per configured replica.
+	budget int64
+	// sleep replaces the pause between passes over a shard when non-nil
+	// (test seam; see backoff).
+	sleep func(ctx context.Context, d time.Duration) error
 	// stmts is the coordinator-side prepared-statement registry: capped
 	// and idle-expired exactly like a serve node's (default TTL).
 	stmts *server.Registry[*coordStmt]
@@ -121,6 +111,8 @@ type Coordinator struct {
 	repreparations    atomic.Int64
 	failovers         atomic.Int64
 	wholeQueryRetries atomic.Int64
+	attempts          atomic.Int64
+	budgetExhausted   atomic.Int64
 
 	stopPoll context.CancelFunc
 	pollDone chan struct{}
@@ -164,12 +156,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	if timeout == 0 {
 		timeout = defaultTimeout
 	}
-	retries := cfg.Retries
-	if retries == 0 {
-		retries = defaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
 	columnar := true
 	switch cfg.Wire {
 	case "", "columnar":
@@ -178,18 +164,9 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown worker wire encoding %q (want columnar or ndjson)", cfg.Wire)
 	}
-	threshold := cfg.BreakerThreshold
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	cooloff := cfg.BreakerCooloff
-	if cooloff <= 0 {
-		cooloff = defaultBreakerCooloff
-	}
 	c := &Coordinator{
-		token:      cfg.Token,
-		retryWhole: cfg.RetryWholeQuery,
-		stmts:      server.NewRegistry[*coordStmt]("c", 0, 0, nil),
+		token: cfg.Token,
+		stmts: server.NewRegistry[*coordStmt]("c", 0, 0, nil),
 	}
 	for si, group := range cfg.Nodes {
 		sh := &shard{index: si}
@@ -201,14 +178,13 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 			sh.replicas = append(sh.replicas, &replica{
 				shard: si,
 				name:  base,
-				brk:   newBreaker(threshold, cooloff),
+				brk:   newBreaker(defaultBreakerThreshold, defaultBreakerCooloff),
 				client: &server.Client{
 					Base:     base,
 					HTTP:     cfg.HTTP,
 					Columnar: columnar,
 					Token:    cfg.Token,
 					Timeout:  timeout,
-					Retries:  retries,
 				},
 			})
 		}
@@ -216,6 +192,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: shard %d has no replicas (entry %q)", si, group)
 		}
 		c.shards = append(c.shards, sh)
+		c.budget += attemptsPerReplica * int64(len(sh.replicas))
 	}
 	interval := cfg.PollInterval
 	if interval == 0 {
@@ -469,11 +446,17 @@ type Stats struct {
 	Queries        int64 `json:"queries"`
 	Failures       int64 `json:"failures"`
 	Repreparations int64 `json:"repreparations"`
-	// Failovers counts subqueries re-established on a sibling replica after
-	// their first choice failed; WholeQueryRetries counts coordinator-level
-	// query restarts under RetryWholeQuery.
+	// Failovers counts subqueries re-established after their first choice
+	// faulted (on a sibling, or on the same replica in a later pass);
+	// WholeQueryRetries counts whole-scatter re-runs after a fault escaped
+	// past merged rows.
 	Failovers         int64 `json:"failovers"`
 	WholeQueryRetries int64 `json:"wholeQueryRetries"`
+	// Attempts counts coordinator→worker requests drawn from client
+	// requests' attempt budgets; BudgetExhausted counts client-visible
+	// failures whose request had spent its budget.
+	Attempts        int64 `json:"attempts"`
+	BudgetExhausted int64 `json:"budgetExhausted"`
 	// Statements is the number of open coordinator-side prepared
 	// statements; StatementsExpired counts the ones the idle-TTL sweep
 	// reclaimed over the coordinator's lifetime.
@@ -506,6 +489,8 @@ func (c *Coordinator) Stats() Stats {
 	st.Repreparations = c.repreparations.Load()
 	st.Failovers = c.failovers.Load()
 	st.WholeQueryRetries = c.wholeQueryRetries.Load()
+	st.Attempts = c.attempts.Load()
+	st.BudgetExhausted = c.budgetExhausted.Load()
 	st.Statements, st.StatementsExpired = c.stmts.Counts()
 	return st
 }

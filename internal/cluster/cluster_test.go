@@ -258,12 +258,13 @@ func TestPrepareExecLifecycle(t *testing.T) {
 }
 
 // TestExecRepreparesExpiredNodeStatement: a worker that forgot its half of
-// a prepared statement (restart, TTL expiry) is transparently re-prepared —
-// the execution still succeeds and the repair is counted.
+// a prepared statement (restart, TTL expiry) is transparently re-prepared
+// with the statement's prepare-time options — the execution still succeeds
+// at the same thread count on every shard, and the repair is counted.
 func TestExecRepreparesExpiredNodeStatement(t *testing.T) {
 	tc := newTestCluster(t, "")
 	ctx := context.Background()
-	pr, err := tc.coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil)
+	pr, err := tc.coord.Prepare(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", &server.Options{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +284,14 @@ func TestExecRepreparesExpiredNodeStatement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exec after node-side expiry: %v", err)
 	}
-	got, _ := drain(t, rows)
+	got, foot := drain(t, rows)
 	if len(got) != 10 {
 		t.Errorf("re-prepared exec returned %d groups, want 10", len(got))
+	}
+	for _, nf := range foot.Nodes {
+		if nf.Threads != 3 {
+			t.Errorf("node %s ran the statement at %d threads, want the prepare-time 3", nf.Node, nf.Threads)
+		}
 	}
 	if n := tc.coord.repreparations.Load(); n != 1 {
 		t.Errorf("repreparations = %d, want 1", n)

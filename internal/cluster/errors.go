@@ -22,11 +22,12 @@ func (e *NodeError) Unwrap() error { return e.Err }
 // Is matches server.ErrUpstream, which the front end answers with 502.
 func (e *NodeError) Is(target error) bool { return target == server.ErrUpstream }
 
-// ShardError reports that a shard's subquery failed on every replica tried;
-// Err is the last replica's NodeError.
+// ShardError reports that a shard's request failed on every replica tried
+// until the client request's attempt budget ran out; Err is the last
+// replica's NodeError.
 type ShardError struct {
 	Shard    int
-	Replicas int // replicas tried before giving up
+	Replicas int // distinct replicas tried before giving up
 	Err      error
 }
 
@@ -43,10 +44,16 @@ func (e *ShardError) Is(target error) bool { return target == server.ErrUpstream
 // failures, header timeouts (server.TimeoutError), truncated or reset
 // streams, and worker 5xx responses are faults; cancellation is the
 // caller's doing, and a 4xx would fail identically on every replica (bad
-// SQL, wrong arity), so neither triggers failover.
+// SQL, wrong arity), so neither triggers failover. A header timeout is
+// tested first: its chain ends in the context.Canceled of the request the
+// timer cut off, which is not the caller's cancellation.
 func replicaFault(err error) bool {
 	if err == nil {
 		return false
+	}
+	var te *server.TimeoutError
+	if errors.As(err, &te) {
+		return true
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false

@@ -34,14 +34,11 @@ func newWorkerURL(t *testing.T, shard int, sharded bool) string {
 	return ts.URL
 }
 
-// newFailoverCoord builds a Coordinator for the failover tests: polling off
-// (tests drive Poll explicitly) and client connect-retries off, so every
-// fault reaches the failover machinery instead of being absorbed by the
-// wire client.
+// newFailoverCoord builds a Coordinator for the failover tests, with
+// polling off (tests drive Poll explicitly).
 func newFailoverCoord(t *testing.T, cfg Config) *Coordinator {
 	t.Helper()
 	cfg.PollInterval = -1
-	cfg.Retries = -1
 	coord, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +270,10 @@ func TestAllReplicasDownSurfacesShardError(t *testing.T) {
 }
 
 // flakyWorker fabricates a single-shard NDJSON worker that kills its first
-// /query connection after the header and serves the given rows on every
-// later one — the deterministic die-then-recover replica.
+// /query connection after the header and its first row chunk, and serves
+// the given rows on every later one — the deterministic die-then-recover
+// replica whose fault lands after rows merged, which only a whole-scatter
+// restart can absorb.
 func flakyWorker(t *testing.T, columns, types []string, rows [][]any) *httptest.Server {
 	t.Helper()
 	var hits atomic.Int64
@@ -289,10 +288,13 @@ func flakyWorker(t *testing.T, columns, types []string, rows [][]any) *httptest.
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
-		if hits.Add(1) == 1 {
-			panic(http.ErrAbortHandler) // die before the first row
-		}
 		enc.Rows(rows)
+		if hits.Add(1) == 1 {
+			if f, ok := w.(http.Flusher); ok {
+				f.Flush()
+			}
+			panic(http.ErrAbortHandler) // die after the first row chunk
+		}
 		enc.Done(&server.Footer{RowCount: int64(len(rows)), Threads: 1})
 	}))
 	t.Cleanup(ts.Close)
@@ -300,23 +302,26 @@ func flakyWorker(t *testing.T, columns, types []string, rows [][]any) *httptest.
 	return ts
 }
 
-// TestRetryWholeQueryRestartsStreaming: with a single replica there is no
-// sibling to fail over to; under RetryWholeQuery the whole scatter restarts
+// TestRestartWithinBudgetStreaming: a single replica dies after rows
+// merged, so no shard-local failover can absorb it; the budget still
+// affords a re-run and nothing was delivered, so the whole scatter restarts
 // once — mid-iteration, through Rows.Next — and the consumer never sees the
 // death.
-func TestRetryWholeQueryRestartsStreaming(t *testing.T) {
+func TestRestartWithinBudgetStreaming(t *testing.T) {
 	ctx := context.Background()
 	fake := flakyWorker(t, []string{"unique1"}, []string{"INT"},
 		[][]any{{int64(1)}, {int64(2)}, {int64(3)}})
 	coord := newFailoverCoord(t, Config{
-		Nodes:           []string{fake.URL},
-		Wire:            "ndjson",
-		RetryWholeQuery: true,
+		Nodes: []string{fake.URL},
+		Wire:  "ndjson",
 	})
 	rows, err := coord.Query(ctx, "SELECT unique1 FROM wisc", nil, nil)
 	if err != nil {
 		t.Fatalf("query against the flaky worker: %v", err)
 	}
+	// Let the first stream merge its chunk and die before the consumer
+	// pulls anything: every reader has exited once closed is.
+	<-rows.g.closed
 	got, foot := drain(t, rows)
 	if len(got) != 3 {
 		t.Fatalf("restarted stream delivered %d rows, want 3", len(got))
@@ -338,17 +343,16 @@ func TestRetryWholeQueryRestartsStreaming(t *testing.T) {
 	}
 }
 
-// TestRetryWholeQueryRestartsAggregate: the same single-replica death under
+// TestRestartWithinBudgetAggregate: the same single-replica death under
 // an aggregate — the failure surfaces during the coordinator-side merge,
-// before Rows is returned, and the retry happens inside scatter.
-func TestRetryWholeQueryRestartsAggregate(t *testing.T) {
+// before Rows is returned, and the restart happens inside the scatter.
+func TestRestartWithinBudgetAggregate(t *testing.T) {
 	ctx := context.Background()
 	fake := flakyWorker(t, []string{"ten", "count"}, []string{"INT", "INT"},
 		[][]any{{int64(0), int64(5)}, {int64(1), int64(7)}})
 	coord := newFailoverCoord(t, Config{
-		Nodes:           []string{fake.URL},
-		Wire:            "ndjson",
-		RetryWholeQuery: true,
+		Nodes: []string{fake.URL},
+		Wire:  "ndjson",
 	})
 	rows, err := coord.Query(ctx, "SELECT ten, COUNT(*) FROM wisc GROUP BY ten", nil, nil)
 	if err != nil {
@@ -366,10 +370,11 @@ func TestRetryWholeQueryRestartsAggregate(t *testing.T) {
 	}
 }
 
-// TestPostMergeFailureWithoutRetryIsVisible: the same death without
-// RetryWholeQuery keeps first-error-wins — the client sees exactly one
-// failure and the counter records it.
-func TestPostMergeFailureWithoutRetryIsVisible(t *testing.T) {
+// TestBudgetExhaustedIsVisible: a single replica that dies after every
+// header uses up the request's budget (the open, then one re-open after a
+// backoff); the client sees exactly one failure, and the counters record it
+// as a failure of an exhausted budget.
+func TestBudgetExhaustedIsVisible(t *testing.T) {
 	ctx := context.Background()
 	// Always dies after the header: no recovery on any attempt.
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -390,8 +395,11 @@ func TestPostMergeFailureWithoutRetryIsVisible(t *testing.T) {
 	if n := coord.failures.Load(); n != 1 {
 		t.Errorf("failures = %d, want 1", n)
 	}
+	if n := coord.budgetExhausted.Load(); n != 1 {
+		t.Errorf("budgetExhausted = %d, want 1", n)
+	}
 	if n := coord.wholeQueryRetries.Load(); n != 0 {
-		t.Errorf("wholeQueryRetries = %d, want 0 (RetryWholeQuery off)", n)
+		t.Errorf("wholeQueryRetries = %d, want 0 (no budget left for a re-run)", n)
 	}
 }
 

@@ -52,7 +52,7 @@ func newFailureCluster(t *testing.T, node1 faultinject.Injector) *failureCluster
 	if node1 != nil {
 		nodes[1] = newChaosProxy(t, fc.urls[1], node1).URL()
 	}
-	coord, err := New(context.Background(), Config{Nodes: nodes, HTTP: fc.httpc, PollInterval: -1, Retries: -1})
+	coord, err := New(context.Background(), Config{Nodes: nodes, HTTP: fc.httpc, PollInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

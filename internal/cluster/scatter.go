@@ -58,13 +58,9 @@ type Rows struct {
 	footer *Footer
 	err    error
 	done   bool
-	// onFail is the coordinator's client-visible failure accounting, fired
-	// once if an error reaches the consumer. Transparent failovers and
-	// whole-query restarts never fire it.
-	onFail func()
-	// restart re-runs the whole scatter (RetryWholeQuery): armed only for
-	// streaming results, consumed on first use.
-	restart func() (*Rows, error)
+	// req is the client request this result belongs to: its attempt
+	// policy decides whether a mid-iteration failure re-runs the scatter.
+	req *request
 }
 
 // gather is the shared fan-in state of one scatter: the cancel that tears
@@ -120,32 +116,13 @@ func (c *Coordinator) Query(ctx context.Context, sql string, args []any, opt *se
 	})
 }
 
-// scatter wraps runScatter with the coordinator-level retry: when
-// RetryWholeQuery is set, a replica fault that escapes per-subquery
-// failover (a death after rows merged) restarts the query once — here for
-// errors surfacing before Rows is returned (open phase, aggregate merge),
-// via Rows.restart for errors surfacing mid-iteration. Client-visible
-// failures are counted at the edges only, so transparent recoveries never
-// inflate the counter.
+// scatter runs one client request under the attempt policy: it mints the
+// request's budget and runs the scatter, which re-runs itself while the
+// policy allows. Client-visible failures are counted at the edges only, so
+// transparent recoveries never inflate the counter.
 func (c *Coordinator) scatter(ctx context.Context, spec *esql.ScatterSpec, open openFn) (*Rows, error) {
 	c.queries.Add(1)
-	rows, err := c.runScatter(ctx, spec, open)
-	if err != nil && c.retryWhole && replicaFault(err) && ctx.Err() == nil {
-		c.wholeQueryRetries.Add(1)
-		rows, err = c.runScatter(ctx, spec, open)
-	}
-	if err != nil {
-		c.failures.Add(1)
-		return nil, err
-	}
-	rows.onFail = func() { c.failures.Add(1) }
-	if rows.stream && c.retryWhole {
-		rows.restart = func() (*Rows, error) {
-			c.wholeQueryRetries.Add(1)
-			return c.runScatter(ctx, spec, open)
-		}
-	}
-	return rows, nil
+	return c.newRequest(ctx, spec, open).run()
 }
 
 // subquery is one shard's live stream and the replica currently serving it.
@@ -155,67 +132,13 @@ type subquery struct {
 	st  *server.RowStream
 }
 
-// openOnShard establishes a shard's subquery on the first replica (in
-// placement-preference order) that accepts it. Replica faults move on to
-// the next candidate and feed the breaker; a non-fault error (bad SQL,
-// cancellation) returns immediately — it would fail identically
-// everywhere. failed, when non-nil, is the NodeError of a replica whose
-// stream just died: that replica is skipped but counts as tried, and its
-// error is the cause reported if no sibling takes over. want, when non-nil,
-// is the cluster result shape a failover replacement stream must match.
-// failedOver reports that at least one candidate was skipped over a fault
-// before one succeeded.
-func (c *Coordinator) openOnShard(ctx context.Context, sh *shard, failed *NodeError, want *server.Header, open openFn) (sub *subquery, failedOver bool, err error) {
-	var lastErr error
-	tried := 0
-	if failed != nil {
-		lastErr, tried = failed, 1
-	}
-	for _, rep := range sh.candidates() {
-		if failed != nil && rep.name == failed.Node {
-			continue
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		st, err := open(ctx, rep)
-		if err != nil {
-			ne := &NodeError{Node: rep.name, Err: err}
-			if !replicaFault(err) {
-				return nil, false, ne
-			}
-			rep.brk.failure()
-			lastErr = ne
-			tried++
-			continue
-		}
-		if want != nil {
-			h := st.Header()
-			if !equalStrings(h.Columns, want.Columns) || !equalStrings(h.Types, want.Types) {
-				st.Close()
-				return nil, false, &NodeError{Node: rep.name,
-					Err: fmt.Errorf("failover result shape %v %v disagrees with the cluster header %v %v (diverged catalogs?)",
-						h.Columns, h.Types, want.Columns, want.Types)}
-			}
-		}
-		rep.brk.success()
-		return &subquery{sh: sh, rep: rep, st: st}, tried > 0, nil
-	}
-	if lastErr == nil {
-		lastErr = ctx.Err()
-		if lastErr == nil {
-			lastErr = fmt.Errorf("no replica available")
-		}
-	}
-	return nil, false, &ShardError{Shard: sh.index, Replicas: tried, Err: lastErr}
-}
-
 // runScatter opens one subquery per shard, waits for every header, and
-// wires up the merge. Any open-phase failure (after per-shard failover is
-// exhausted) tears the whole fan-out down and surfaces one error naming the
+// wires up the merge. Any open-phase failure (after the shard's passes are
+// spent) tears the whole fan-out down and surfaces one error naming the
 // shard and its last replica.
-func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, open openFn) (*Rows, error) {
-	fanCtx, cancel := context.WithCancel(ctx)
+func (c *Coordinator) runScatter(q *request) (*Rows, error) {
+	spec := q.spec
+	fanCtx, cancel := context.WithCancel(q.ctx)
 	subs := make([]*subquery, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -223,7 +146,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			sub, failedOver, err := c.openOnShard(fanCtx, sh, nil, nil, open)
+			sub, failedOver, err := q.openOnShard(fanCtx, sh, nil, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -281,7 +204,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 		readers.Add(1)
 		go func(i int, sub *subquery) {
 			defer readers.Done()
-			c.readSubquery(fanCtx, g, i, sub, cluster, open)
+			c.readSubquery(fanCtx, q, g, i, sub, cluster)
 		}(i, sub)
 	}
 	go func() {
@@ -290,7 +213,7 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 		close(g.closed)
 	}()
 
-	rows := &Rows{header: cluster, g: g}
+	rows := &Rows{header: cluster, g: g, req: q}
 	if !spec.HasAgg {
 		rows.stream = true
 		return rows, nil
@@ -309,14 +232,14 @@ func (c *Coordinator) runScatter(ctx context.Context, spec *esql.ScatterSpec, op
 }
 
 // readSubquery pumps one shard's stream into the fan-in channel. A replica
-// fault before this subquery merged any row is retried transparently on a
-// sibling replica — the replacement stream re-produces the shard's rows
-// from scratch, which is exactly once from the merge's point of view since
-// nothing of this shard entered the channel yet. A fault after rows merged
-// cannot be retried shard-locally (the channel already carries a partial
-// shard) and fails the gather; scatter-level RetryWholeQuery may still
-// restart the query.
-func (c *Coordinator) readSubquery(ctx context.Context, g *gather, i int, sub *subquery, want *server.Header, open openFn) {
+// fault before this subquery merged any row is retried transparently under
+// the request's budget, on a sibling replica first — the replacement stream
+// re-produces the shard's rows from scratch, which is exactly once from the
+// merge's point of view since nothing of this shard entered the channel
+// yet. A fault after rows merged cannot be retried shard-locally (the
+// channel already carries a partial shard) and fails the gather; the
+// policy's whole-scatter restart may still re-run the query.
+func (c *Coordinator) readSubquery(ctx context.Context, q *request, g *gather, i int, sub *subquery, want *server.Header) {
 	st, rep := sub.st, sub.rep
 	var merged int64
 	for {
@@ -352,7 +275,7 @@ func (c *Coordinator) readSubquery(ctx context.Context, g *gather, i int, sub *s
 			return
 		}
 		rep.brk.failure()
-		nsub, _, oerr := c.openOnShard(ctx, sub.sh, ne, want, open)
+		nsub, _, oerr := q.openOnShard(ctx, sub.sh, ne, want)
 		if oerr != nil {
 			g.fail(oerr)
 			return
@@ -499,12 +422,12 @@ func equalStrings(a, b []string) bool {
 func (r *Rows) Header() *server.Header { return r.header }
 
 // Next advances the cursor. For streaming results it blocks on the fan-in
-// channel; for merged aggregates it walks the buffer.
+// channel; for merged aggregates it walks the buffer. A stream whose gather
+// failed stops at once — before any rows still buffered — so a failure that
+// lands before the first row reaches the consumer can still re-run the
+// scatter under the attempt policy.
 func (r *Rows) Next() bool {
-	for {
-		if r.done {
-			return false
-		}
+	for !r.done {
 		if !r.stream {
 			if len(r.buf) == 0 {
 				r.complete()
@@ -515,45 +438,33 @@ func (r *Rows) Next() bool {
 			r.count++
 			return true
 		}
-		row, ok := <-r.g.rowc
-		if ok {
-			r.cur = row
-			r.count++
-			return true
-		}
 		err := r.g.firstErr()
 		if err == nil {
-			r.complete()
+			if row, ok := <-r.g.rowc; ok {
+				r.cur = row
+				r.count++
+				return true
+			}
+			if err = r.g.firstErr(); err == nil {
+				r.complete()
+				return false
+			}
+		}
+		if !r.req.restart(err, r.count) {
+			r.fail(r.req.fail(err))
 			return false
 		}
-		if !r.tryRestart(err) {
+		// Release the dead gather, then pull from a fresh one.
+		r.g.cancel()
+		<-r.g.closed
+		nr, err := r.req.run()
+		if err != nil {
+			r.fail(err)
 			return false
 		}
-		// Restarted: loop and pull from the fresh gather.
+		*r = *nr
 	}
-}
-
-// tryRestart is the RetryWholeQuery path for a failure that escaped
-// per-subquery failover: if nothing was delivered to the consumer yet, the
-// whole scatter re-runs once and iteration resumes transparently. Returns
-// false after recording the (original or restart) error on the cursor.
-func (r *Rows) tryRestart(err error) bool {
-	if r.restart == nil || r.count != 0 || !replicaFault(err) {
-		r.fail(err)
-		return false
-	}
-	restart := r.restart
-	r.restart = nil
-	onFail := r.onFail
-	r.g.cancel() // release the dead gather's fan-out context
-	nr, rerr := restart()
-	if rerr != nil {
-		r.fail(rerr)
-		return false
-	}
-	*r = *nr
-	r.onFail = onFail
-	return true
+	return false
 }
 
 // Row returns the current row: one int64 or string per header column.
@@ -567,10 +478,6 @@ func (r *Rows) Footer() *Footer { return r.footer }
 
 func (r *Rows) fail(err error) {
 	r.err = err
-	if r.onFail != nil {
-		r.onFail()
-		r.onFail = nil
-	}
 	r.finish()
 }
 

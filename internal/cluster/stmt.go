@@ -10,12 +10,14 @@ import (
 )
 
 // coordStmt is one coordinator-side prepared statement: the original SQL
-// (kept for re-preparing), the merge shape compiled once at prepare time,
-// the result metadata, and each replica's server-side statement id. A
-// replica missing from ids (down at prepare time, or it expired its half)
-// is re-prepared lazily the first time a subquery lands on it.
+// and prepare-time options (kept for re-preparing), the merge shape
+// compiled once at prepare time, the result metadata, and each replica's
+// server-side statement id. A replica missing from ids (down at prepare
+// time, or it expired its half) is re-prepared lazily the first time a
+// subquery lands on it.
 type coordStmt struct {
 	sql  string
+	opt  *server.Options
 	spec *esql.ScatterSpec
 	info server.PrepareResponse // coordinator-facing metadata; the registry holds the id
 
@@ -37,87 +39,112 @@ func (s *coordStmt) setID(r *replica, id string) {
 	s.mu.Unlock()
 }
 
+// closeOnReplicas best-effort closes every replica's half of the statement
+// (a replica that already expired it answers 404, which is the desired end
+// state anyway).
+func (s *coordStmt) closeOnReplicas(ctx context.Context) {
+	s.mu.Lock()
+	ids := make(map[*replica]string, len(s.ids))
+	for r, nodeID := range s.ids {
+		ids[r] = nodeID
+	}
+	s.mu.Unlock()
+	var wg sync.WaitGroup
+	for r, nodeID := range ids {
+		wg.Add(1)
+		go func(r *replica, nodeID string) {
+			defer wg.Done()
+			_ = r.client.CloseStmt(ctx, nodeID)
+		}(r, nodeID)
+	}
+	wg.Wait()
+}
+
 // Prepare compiles a statement once cluster-wide: the coordinator derives
 // the merge shape, prepares the statement on every replica of every shard
 // in parallel, and registers the bundle under one coordinator id.
 // Executions then skip both the coordinator-side parse and the workers'
 // parse/compile (their plan caches hold the compiled plan against each
 // shard). A replica that is down may miss the prepare — tolerated as long
-// as at least one replica per shard holds the statement; the missing half
-// is re-prepared lazily if a subquery ever fails over onto it. A full
-// registry fails with server.ErrTooManyStatements after the replicas' halves
-// are closed again.
+// as one replica per shard holds the statement; the missing half is
+// re-prepared lazily if a subquery ever lands on it. A shard left with no
+// prepared replica gets further passes under the request's attempt budget.
+// A full registry fails with server.ErrTooManyStatements after the
+// replicas' halves are closed again.
 func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Options) (*server.PrepareResponse, error) {
 	spec, err := esql.ScatterPlan(sql)
 	if err != nil {
 		return nil, err
 	}
-	stmt := &coordStmt{sql: sql, spec: spec, ids: make(map[*replica]string)}
-	var reps []*replica
-	c.replicas(func(r *replica) { reps = append(reps, r) })
-	prs := make([]*server.PrepareResponse, len(reps))
-	errs := make([]error, len(reps))
+	stmt := &coordStmt{sql: sql, opt: opt, spec: spec, ids: make(map[*replica]string)}
+	q := c.newRequest(ctx, nil, nil)
+	var mu sync.Mutex
+	var first *server.PrepareResponse
+	prepareOn := func(ctx context.Context, r *replica) error {
+		pr, err := r.client.Prepare(ctx, sql, c.shardOptions(c.shards[r.shard], opt))
+		if err != nil {
+			return err
+		}
+		stmt.setID(r, pr.ID)
+		mu.Lock()
+		if first == nil {
+			first = pr
+		}
+		mu.Unlock()
+		return nil
+	}
+
+	// First round: every replica at once, one attempt each.
+	faults := make([][]*NodeError, len(c.shards))
+	var badErr error
 	var wg sync.WaitGroup
-	for i, r := range reps {
+	c.replicas(func(r *replica) {
+		q.draw() // the budget holds attemptsPerReplica per replica
 		wg.Add(1)
-		go func(i int, r *replica) {
+		go func(r *replica) {
 			defer wg.Done()
-			pr, err := r.client.Prepare(ctx, sql, c.shardOptions(c.shards[r.shard], opt))
-			if err != nil {
-				errs[i] = &NodeError{Node: r.name, Err: err}
+			err := prepareOn(ctx, r)
+			if err == nil {
+				r.brk.success()
 				return
 			}
-			prs[i] = pr
-			stmt.setID(r, pr.ID)
-		}(i, r)
-	}
-	wg.Wait()
-
-	cleanup := func() {
-		// Best-effort cleanup of the replicas that did prepare.
-		for i, pr := range prs {
-			if pr != nil {
-				_ = reps[i].client.CloseStmt(ctx, pr.ID)
+			ne := &NodeError{Node: r.name, Err: err}
+			mu.Lock()
+			defer mu.Unlock()
+			if replicaFault(err) {
+				r.brk.failure()
+				faults[r.shard] = append(faults[r.shard], ne)
+			} else if badErr == nil {
+				badErr = ne
 			}
-		}
+		}(r)
+	})
+	wg.Wait()
+	fail := func(err error) (*server.PrepareResponse, error) {
+		stmt.closeOnReplicas(ctx)
+		return nil, q.fail(err)
 	}
 	// A non-fault failure (the statement itself is bad) fails the prepare
 	// outright — every replica would reject it the same way.
-	var first *server.PrepareResponse
-	for i, err := range errs {
-		if err == nil {
-			if first == nil {
-				first = prs[i]
-			}
+	if badErr != nil {
+		return fail(badErr)
+	}
+	// Shards whose every replica faulted get further passes.
+	errs := make([]error, len(c.shards))
+	for i, sh := range c.shards {
+		if len(faults[i]) < len(sh.replicas) {
 			continue
 		}
-		if !replicaFault(err) {
-			cleanup()
-			c.failures.Add(1)
-			return nil, err
-		}
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			_, _, errs[i] = q.onShard(ctx, sh, faults[i], prepareOn)
+		}(i, sh)
 	}
-	// Replica faults are tolerated per shard as long as one replica holds
-	// the statement.
-	for _, sh := range c.shards {
-		prepared := false
-		var shardErr error
-		replicasTried := 0
-		for i, r := range reps {
-			if r.shard != sh.index {
-				continue
-			}
-			if errs[i] == nil {
-				prepared = true
-			} else {
-				shardErr = errs[i]
-				replicasTried++
-			}
-		}
-		if !prepared {
-			cleanup()
-			c.failures.Add(1)
-			return nil, &ShardError{Shard: sh.index, Replicas: replicasTried, Err: shardErr}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return fail(err)
 		}
 	}
 
@@ -129,7 +156,7 @@ func (c *Coordinator) Prepare(ctx context.Context, sql string, opt *server.Optio
 	}
 	id, err := c.stmts.Add(stmt)
 	if err != nil {
-		cleanup()
+		stmt.closeOnReplicas(ctx)
 		return nil, err
 	}
 	out := stmt.info
@@ -151,9 +178,9 @@ func (c *Coordinator) Stmt(id string) (*server.PrepareResponse, bool) {
 // Exec scatter-gathers one execution of a prepared statement. A replica
 // whose server-side statement vanished (expired by its idle-TTL sweep, a
 // restart, or it was down at prepare time and a failover just landed on
-// it) is transparently re-prepared once and retried; a second miss fails
-// that replica's attempt, at which point the ordinary failover machinery
-// tries a sibling.
+// it) is transparently re-prepared with the prepare-time options and
+// retried, inside the same attempt; a second miss fails that attempt, at
+// which point the attempt policy tries a sibling.
 func (c *Coordinator) Exec(ctx context.Context, id string, args []any, opt *server.Options) (*Rows, error) {
 	stmt, err := c.stmts.Get(id)
 	if err != nil {
@@ -172,7 +199,7 @@ func (c *Coordinator) Exec(ctx context.Context, id string, args []any, opt *serv
 		}
 		// The replica holds no (live) half of the statement; re-prepare it
 		// there and retry once.
-		pr, perr := rep.client.Prepare(ctx, stmt.sql, nil)
+		pr, perr := rep.client.Prepare(ctx, stmt.sql, c.shardOptions(c.shards[rep.shard], stmt.opt))
 		if perr != nil {
 			return nil, fmt.Errorf("re-preparing expired statement: %w", perr)
 		}
@@ -190,20 +217,6 @@ func (c *Coordinator) CloseStmt(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
-	stmt.mu.Lock()
-	ids := make(map[*replica]string, len(stmt.ids))
-	for r, nodeID := range stmt.ids {
-		ids[r] = nodeID
-	}
-	stmt.mu.Unlock()
-	var wg sync.WaitGroup
-	for r, nodeID := range ids {
-		wg.Add(1)
-		go func(r *replica, nodeID string) {
-			defer wg.Done()
-			_ = r.client.CloseStmt(ctx, nodeID)
-		}(r, nodeID)
-	}
-	wg.Wait()
+	stmt.closeOnReplicas(ctx)
 	return nil
 }

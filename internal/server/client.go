@@ -7,25 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"net"
 	"net/http"
 	"strings"
-	"syscall"
 	"time"
 )
-
-// defaultRetryBackoff seeds the retry backoff ladder when the client sets
-// Retries but no RetryBackoff: long enough that a worker mid-restart gets a
-// real chance to bind its listener, short enough that a coordinator fan-out
-// barely notices a retried connect.
-const defaultRetryBackoff = 50 * time.Millisecond
-
-// defaultBackoffBudget caps the cumulative backoff slept across one
-// request's retries when the client sets no BackoffBudget: a fan-out should
-// give up on a worker that stayed unreachable for this long rather than
-// keep a query pinned behind an ever-growing ladder.
-const defaultBackoffBudget = 2 * time.Second
 
 // Client is a minimal Go client for the wire protocol — the reference
 // consumer the end-to-end tests, the cluster coordinator and the serve
@@ -51,27 +36,6 @@ type Client struct {
 	// it runs — so the timeout catches unreachable or wedged servers
 	// without capping result size. 0 means no timeout.
 	Timeout time.Duration
-	// Retries is how many times a request is re-sent after a transient
-	// connect failure (connection refused/reset before any response —
-	// e.g. fanning out to a worker that is still starting). Retries are
-	// safe there because the server never saw the request. 0 disables.
-	Retries int
-	// RetryBackoff is the base of the retry backoff ladder (0 = 50ms).
-	// Retry i sleeps a full-jitter backoff: uniform in [0, RetryBackoff<<i),
-	// so a fleet of clients that all lost the same worker spreads its
-	// reconnects out instead of thundering-herding the restart in lockstep.
-	RetryBackoff time.Duration
-	// BackoffBudget caps the cumulative backoff slept across one request's
-	// retries (0 = 2s). Every sleep is clamped to the remaining budget, and
-	// once the budget is spent the remaining Retries are forfeited — the
-	// total stall a dead worker can inflict per request is bounded no
-	// matter how high Retries is set.
-	BackoffBudget time.Duration
-
-	// sleep and jitter are test seams: sleep replaces the context-aware
-	// backoff wait, jitter the uniform draw in [0, 1). Nil means real.
-	sleep  func(ctx context.Context, d time.Duration) error
-	jitter func() float64
 }
 
 func (c *Client) http() *http.Client {
@@ -81,85 +45,14 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// transientConnect reports whether a request failed before reaching the
-// server: a dial-phase error (refused, unreachable, no listener yet) or a
-// connection reset with no response. Only those are safe to retry blindly —
-// the server never observed the request.
-func transientConnect(err error) bool {
-	var op *net.OpError
-	if errors.As(err, &op) && op.Op == "dial" {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET)
-}
-
-// do sends one request with auth, the header-phase timeout, and bounded
-// retry-with-full-jitter-backoff on transient connect errors. The returned
-// cancel releases the request's context and MUST be called once the
-// response is consumed (RowStream.finish does it for streamed bodies).
+// do sends one request with auth and the header-phase timeout. The timeout
+// runs a timer that cancels the request context; on success the timer is
+// disarmed and the context stays alive for the body. The returned cancel
+// releases the request's context and MUST be called once the response is
+// consumed (RowStream.finish does it for streamed bodies). There is no
+// retry here: the cluster coordinator owns the one attempt policy for its
+// worker links.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, context.CancelFunc, error) {
-	base := c.RetryBackoff
-	if base <= 0 {
-		base = defaultRetryBackoff
-	}
-	budget := c.BackoffBudget
-	if budget <= 0 {
-		budget = defaultBackoffBudget
-	}
-	for attempt := 0; ; attempt++ {
-		resp, cancel, err := c.attempt(ctx, method, path, body)
-		if err == nil {
-			return resp, cancel, nil
-		}
-		if attempt >= c.Retries || budget <= 0 || !transientConnect(err) || ctx.Err() != nil {
-			return nil, nil, err
-		}
-		// Full jitter over the doubling envelope, clamped to what is left
-		// of the budget: envelope_i = min(base<<i, remaining budget),
-		// sleep_i uniform in [0, envelope_i).
-		envelope := budget
-		if attempt < 20 { // beyond 2^20 the shift alone exceeds any sane budget
-			if e := base << attempt; e < envelope {
-				envelope = e
-			}
-		}
-		d := time.Duration(c.rand01() * float64(envelope))
-		if err := c.backoffSleep(ctx, d); err != nil {
-			return nil, nil, err
-		}
-		budget -= d
-	}
-}
-
-// rand01 draws the backoff jitter in [0, 1).
-func (c *Client) rand01() float64 {
-	if c.jitter != nil {
-		return c.jitter()
-	}
-	return rand.Float64()
-}
-
-// backoffSleep waits out one backoff step, aborting early if the request's
-// context dies.
-func (c *Client) backoffSleep(ctx context.Context, d time.Duration) error {
-	if c.sleep != nil {
-		return c.sleep(ctx, d)
-	}
-	if d <= 0 {
-		return nil
-	}
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// attempt issues the request once. The header-phase timeout runs a timer
-// that cancels the request context; on success the timer is disarmed and the
-// context stays alive for the body.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte) (*http.Response, context.CancelFunc, error) {
 	reqCtx, cancel := context.WithCancel(ctx)
 	var timer *time.Timer
 	if c.Timeout > 0 {
@@ -205,9 +98,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 // TimeoutError reports a request whose connect-and-respond phase overran
 // Client.Timeout: the server was reachable enough to dial (or the dial
 // itself stalled past the limit) but no response header arrived in time. It
-// is a distinct type from dial-phase connect errors and from *StatusError
-// so callers — the cluster coordinator's per-node circuit breaker in
-// particular — can classify wedged workers without string matching.
+// is a distinct type from dial-phase connect errors and from *StatusError,
+// so callers can classify wedged servers without string matching. Its
+// chain ends in the request context's context.Canceled (the timer cancels
+// it), so a classifier that treats cancellation as the caller's doing must
+// test for *TimeoutError first.
 type TimeoutError struct {
 	// Limit is the Client.Timeout that expired.
 	Limit time.Duration

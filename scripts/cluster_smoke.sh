@@ -99,7 +99,8 @@ done
 # --- Replica failover: a 2-shard x 2-replica cluster keeps answering while
 # one replica is killed mid-run. The kill must show up as transparent
 # failovers and an opened breaker on /stats, never as a client-visible
-# failure. Polling is off so the breaker opens purely from query traffic.
+# failure. The coordinator runs the default attempt policy; polling is off
+# so the breaker opens purely from query traffic.
 COORD2=127.0.0.1:18091
 WISC2=3000
 rnodes=""
@@ -125,7 +126,7 @@ for p in 4 5 6 7; do
 done
 
 "$workdir/dbs3" coord -addr "$COORD2" -nodes "$rnodes" -token "$TOKEN" \
-  -poll -1s -retries -1 -retry-whole-query &
+  -poll -1s &
 pids+=($!)
 for _ in $(seq 1 50); do
   curl -fsS -H "$AUTH" "http://$COORD2/healthz" >/dev/null 2>&1 && break
